@@ -383,6 +383,50 @@ TEST(CacheHarness, UdpDriverSmoke) {
   EXPECT_GT(stats.latency_samples, 0u);
 }
 
+// Trajectory pins: exact values of small seeded runs, so a changed RNG
+// draw order, pump order or placement pass shows up even when every
+// invariant above still holds.
+
+TEST(CacheHarness, EventDriverTrajectoryIsPinned) {
+  EventCacheConfig cfg;
+  cfg.scenario = small_scenario(24, Policy::kPopularity, 0.5);
+  cfg.scenario.loss_rate = 0.1;
+  cfg.scenario.catalog.request_churn = 0.05;
+  cfg.scenario.catalog.content_churn = 0.02;
+  const CacheRunStats stats = run_event_cache(cfg);
+  EXPECT_EQ(stats.requests, 24u * 3u);
+  EXPECT_EQ(stats.completed, 72u);
+  EXPECT_EQ(stats.full_hits, 26u);
+  EXPECT_EQ(stats.partial_hits, 46u);
+  EXPECT_EQ(stats.edge_bytes, 41418u);
+  EXPECT_EQ(stats.backhaul_bytes, 39429u);
+  EXPECT_EQ(stats.duration_ticks, 81u);
+  EXPECT_DOUBLE_EQ(stats.latency_p50, 18.474123089316357);
+  EXPECT_DOUBLE_EQ(stats.latency_p99, 30.680733380913196);
+}
+
+TEST(CacheHarness, SimDriverTrajectoryIsPinned) {
+  // LRU exercises the edge's on-path absorption of source frames and
+  // content churn the shared endpoint pair's replace hook.
+  SimCacheConfig cfg;
+  cfg.scenario = small_scenario(6, Policy::kLru, 0.5);
+  cfg.scenario.requests_per_user = 3;
+  cfg.scenario.loss_rate = 0.1;
+  cfg.scenario.catalog.content_churn = 0.05;
+  cfg.channel.reorder_rate = 0.1;
+  const CacheRunStats stats = run_sim_cache(cfg);
+  EXPECT_EQ(stats.requests, 6u * 3u);
+  EXPECT_EQ(stats.completed, 18u);
+  EXPECT_EQ(stats.full_hits, 3u);
+  EXPECT_EQ(stats.partial_hits, 6u);
+  EXPECT_EQ(stats.replacements, 1u);
+  EXPECT_EQ(stats.edge_bytes, 12628u);
+  EXPECT_EQ(stats.backhaul_bytes, 13776u);
+  EXPECT_EQ(stats.duration_ticks, 42u);
+  EXPECT_DOUBLE_EQ(stats.latency_p50, 7.0);
+  EXPECT_DOUBLE_EQ(stats.latency_p99, 14.812597896408736);
+}
+
 TEST(CacheHarness, WorkingSetScalesWithTheCatalog) {
   CatalogConfig small;
   small.contents = 8;

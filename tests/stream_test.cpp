@@ -459,6 +459,56 @@ TEST(StreamHarness, UdpLoopbackStreamDecodes) {
   EXPECT_EQ(r.verify_failures, 0u);
 }
 
+// --- trajectory pins --------------------------------------------------------
+//
+// Exact values of small seeded runs. The invariant tests above would not
+// notice a changed RNG draw order or pump order; these do. A deliberate
+// change to either re-pins them in the same commit, with the reason.
+
+TEST(StreamHarness, SimTrajectoryIsPinned) {
+  SimStreamConfig cfg;
+  cfg.stream.block_bytes = 512;
+  cfg.stream.symbol_bytes = 32;  // k = 16
+  cfg.stream.ticks_per_block = 8;
+  cfg.stream.deadline_ticks = 32;
+  cfg.stream.total_blocks = 6;
+  cfg.stream.base_overhead = 1.9;
+  cfg.channel.loss_rate = 0.3;
+  cfg.channel.reorder_rate = 0.2;
+  cfg.channel.duplicate_rate = 0.1;
+  cfg.channel.seed = 7;
+  cfg.receivers = 3;
+  cfg.seed = 5;
+  const StreamRunStats r = run_sim_stream(cfg);
+  EXPECT_EQ(r.source_frames, 846u);
+  EXPECT_EQ(r.duration_ticks, 73u);
+  EXPECT_EQ(r.completed, 13u);
+  EXPECT_EQ(r.missed, 5u);
+  EXPECT_DOUBLE_EQ(r.latency_p50, 5.0290348780372849);
+  EXPECT_DOUBLE_EQ(r.latency_p99, 6.9538572660217266);
+}
+
+TEST(StreamHarness, EventTrajectoryIsPinned) {
+  EventStreamConfig cfg;
+  cfg.stream.block_bytes = 256;
+  cfg.stream.symbol_bytes = 32;  // k = 8
+  cfg.stream.ticks_per_block = 8;
+  cfg.stream.deadline_ticks = 32;
+  cfg.stream.window = 4;
+  cfg.stream.total_blocks = 6;
+  cfg.stream.base_overhead = 2.0;
+  cfg.receivers = 40;
+  cfg.loss_rate = 0.1;
+  cfg.seed = 3;
+  const StreamRunStats r = run_event_stream(cfg);
+  EXPECT_EQ(r.source_frames, 162u);
+  EXPECT_EQ(r.duration_ticks, 73u);
+  EXPECT_EQ(r.completed, 229u);
+  EXPECT_EQ(r.missed, 11u);
+  EXPECT_DOUBLE_EQ(r.latency_p50, 2.4699266302482119);
+  EXPECT_DOUBLE_EQ(r.latency_p99, 6.8416289959653289);
+}
+
 TEST(StreamConfigDefaults, FastDegreeLutIsTheDefault) {
   EXPECT_TRUE(StreamConfig{}.fast_degree_lut);
 }
