@@ -4,7 +4,7 @@
 //   --full         paper-scale parameters (slow; default is laptop scale)
 //   --csv          machine-readable output instead of the boxed table
 //   --nodes=N --k=K --runs=R   explicit overrides
-// and prints the scale it ran at, so EXPERIMENTS.md numbers are
+// and prints the scale it ran at, so every published number is
 // reproducible by construction.
 #pragma once
 

@@ -21,12 +21,14 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "harness/loopback.hpp"
 #include "lt/lt_encoder.hpp"
 #include "net/udp_transport.hpp"
 #include "session/endpoint.hpp"
@@ -144,29 +146,14 @@ BatchPoint run_batch_edge(std::uint64_t total_frames) {
   BatchPoint point;
   std::string error;
   constexpr std::size_t kReceivers = 8;
-
-  std::vector<std::unique_ptr<net::UdpTransport>> receivers;
-  for (std::size_t r = 0; r < kReceivers; ++r) {
-    net::UdpConfig cfg;
-    cfg.bind_address = "127.0.0.1";
-    auto transport = net::UdpTransport::open(cfg, &error);
-    if (transport == nullptr) {
-      std::cerr << "batch edge skipped: " << error << "\n";
-      return point;
-    }
-    receivers.push_back(std::move(transport));
-  }
-  net::UdpConfig tx_cfg;
-  tx_cfg.bind_address = "127.0.0.1";
-  auto sender = net::UdpTransport::open(tx_cfg, &error);
-  if (sender == nullptr) {
+  std::optional<harness::Loopback> net =
+      harness::open_loopback(kReceivers, 1, &error);
+  if (!net) {
     std::cerr << "batch edge skipped: " << error << "\n";
     return point;
   }
-  for (std::size_t r = 0; r < kReceivers; ++r) {
-    sender->add_peer("127.0.0.1", receivers[r]->local_port());
-  }
-  point.batching_active = sender->batching_active();
+  net::UdpTransport& sender = *net->services[0];
+  point.batching_active = sender.batching_active();
 
   const wire::Frame payload = [] {
     wire::Frame frame;
@@ -179,18 +166,14 @@ BatchPoint run_batch_edge(std::uint64_t total_frames) {
 
   constexpr std::size_t kBurst = net::UdpTransport::kMaxBatch;
   std::vector<net::UdpTransport::TxItem> items(kBurst);
-  std::vector<wire::Frame> rx_frames(kBurst);
-  std::vector<net::UdpTransport::PeerIndex> rx_peers(kBurst);
+  harness::BatchIo io;
   std::uint64_t sent = 0;
   std::uint64_t drained = 0;
   std::uint64_t bursts = 0;
   const auto drain_all = [&] {
-    for (auto& receiver : receivers) {
-      for (int spin = 0; spin < 10000; ++spin) {
-        const std::size_t n = receiver->recv_batch(rx_frames, rx_peers);
-        drained += n;
-        if (n == 0) break;
-      }
+    for (const auto& receiver : net->clients) {
+      drained += io.receive(
+          *receiver, [](harness::PeerIndex, wire::Frame&) {}, 10000);
     }
   };
   while (sent < total_frames) {
@@ -202,7 +185,7 @@ BatchPoint run_batch_edge(std::uint64_t total_frames) {
                       (sent + i) % kReceivers),
                   payload.bytes()};
     }
-    sent += sender->send_batch({items.data(), batch});
+    sent += sender.send_batch({items.data(), batch});
     // Drain every few bursts: deep enough queues that recvmmsg can show
     // its batching, shallow enough that kernel buffers never overflow
     // (4 bursts / 8 receivers = 32 queued datagrams ≈ 10 KB per socket).
@@ -211,10 +194,10 @@ BatchPoint run_batch_edge(std::uint64_t total_frames) {
   drain_all();
 
   point.frames = sent;
-  point.frames_per_send_call = sender->stats().frames_per_send_call();
+  point.frames_per_send_call = sender.stats().frames_per_send_call();
   double recv_calls = 0.0;
   double recv_frames = 0.0;
-  for (const auto& receiver : receivers) {
+  for (const auto& receiver : net->clients) {
     recv_calls += static_cast<double>(receiver->stats().recv_calls -
                                       receiver->stats().recv_would_block);
     recv_frames += static_cast<double>(receiver->stats().frames_received);

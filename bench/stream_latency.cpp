@@ -14,11 +14,17 @@
 //
 // Writes BENCH_stream.json (one flat array; bench/diff_bench.py globs
 // it). Flags: --full --seed=S --out=FILE --receivers=N
+//
+// The bench enforces its own claims and exits nonzero when one fails:
+// no row may report a verify failure, and each seeded SimChannel sweep
+// ("sim", "sim-adaptive") must miss nothing at zero loss and never miss
+// less as loss rises.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,14 +84,49 @@ RunRecord base_record(const std::string& section, double loss,
   return rec;
 }
 
+/// The bench's acceptance claims, checked row by row (sweeps run in
+/// ascending loss order).
+class Claims {
+ public:
+  void check(const std::string& section, double loss,
+             const StreamRunStats& r) {
+    if (r.verify_failures != 0) {
+      fail(section, loss, std::to_string(r.verify_failures) +
+                              " verify failures");
+    }
+    if (section != "sim" && section != "sim-adaptive") return;
+    if (loss == 0.0 && r.miss_rate() != 0.0) {
+      fail(section, loss, "misses at zero loss");
+    }
+    const auto prev = last_miss_.find(section);
+    if (prev != last_miss_.end() && r.miss_rate() < prev->second) {
+      fail(section, loss, "miss rate fell as loss rose");
+    }
+    last_miss_[section] = r.miss_rate();
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  void fail(const std::string& section, double loss,
+            const std::string& what) {
+    std::cerr << "stream_latency: " << section << " loss=" << loss << ": "
+              << what << "\n";
+    ok_ = false;
+  }
+
+  bool ok_ = true;
+  std::map<std::string, double> last_miss_;
+};
+
 template <typename Fn>
 RunRecord timed(Fn&& fn, const std::string& section, double loss,
-                const StreamConfig& stream) {
+                const StreamConfig& stream, Claims& claims) {
   const auto start = std::chrono::steady_clock::now();
   const StreamRunStats r = fn();
   const auto stop = std::chrono::steady_clock::now();
   const double seconds = std::chrono::duration<double>(stop - start).count();
   RunRecord rec = base_record(section, loss, stream, r, seconds);
+  claims.check(section, loss, r);
   std::cerr << "  " << section << " loss=" << loss << ": miss_rate="
             << r.miss_rate() << " p50=" << r.latency_p50
             << " p99=" << r.latency_p99 << " (" << seconds << "s)\n";
@@ -118,6 +159,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<RunRecord> records;
+  Claims claims;
   // Well-separated loss points so the fixed-budget miss-rate curve steps
   // decisively: ~0 %, <1 %, a few %, then a collapse past the budget.
   const std::vector<double> losses{0.0, 0.15, 0.3, 0.5};
@@ -134,7 +176,7 @@ int main(int argc, char** argv) {
     cfg.adaptive_budget = false;
     cfg.seed = seed;
     records.push_back(timed([&] { return run_sim_stream(cfg); }, "sim", loss,
-                            cfg.stream));
+                            cfg.stream, claims));
   }
   for (const double loss : losses) {
     ltnc::stream::SimStreamConfig cfg;
@@ -147,7 +189,7 @@ int main(int argc, char** argv) {
     cfg.adaptive_budget = true;
     cfg.seed = seed;
     records.push_back(timed([&] { return run_sim_stream(cfg); },
-                            "sim-adaptive", loss, cfg.stream));
+                            "sim-adaptive", loss, cfg.stream, claims));
   }
 
   // --- UDP loopback sweep ---------------------------------------------------
@@ -163,7 +205,7 @@ int main(int argc, char** argv) {
     cfg.loss_rate = loss;
     cfg.seed = seed;
     records.push_back(timed([&] { return run_udp_stream(cfg); }, "udp", loss,
-                            cfg.stream));
+                            cfg.stream, claims));
   }
 
   // --- Event-engine scale point ---------------------------------------------
@@ -184,7 +226,7 @@ int main(int argc, char** argv) {
     cfg.loss_rate = 0.05;
     cfg.seed = seed;
     RunRecord rec = timed([&] { return run_event_stream(cfg); }, "event",
-                          cfg.loss_rate, cfg.stream);
+                          cfg.loss_rate, cfg.stream, claims);
     records.push_back(std::move(rec));
   }
 
@@ -195,5 +237,9 @@ int main(int argc, char** argv) {
   }
   ltnc::metrics::write_json(out, records);
   std::cout << "wrote " << out_path << "\n";
+  if (!claims.ok()) {
+    std::cerr << "stream_latency: acceptance claims failed\n";
+    return 1;
+  }
   return 0;
 }

@@ -28,8 +28,8 @@
 namespace {
 
 using namespace ltnc;
-using dissem::FeedbackMode;
-using dissem::Scheme;
+using session::FeedbackMode;
+using session::Scheme;
 
 [[noreturn]] void usage() {
   std::cout <<
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   }
   cfg.max_rounds = max_rounds != 0 ? max_rounds : 120 * cfg.k;
 
-  std::cout << "scheme=" << dissem::scheme_name(scheme)
+  std::cout << "scheme=" << session::scheme_name(scheme)
             << " N=" << cfg.num_nodes << " k=" << cfg.k
             << " m=" << cfg.payload_bytes << " seed=" << cfg.seed
             << " engine=" << engine << "\n";

@@ -3,41 +3,43 @@
 //
 // The real-UDP modes run on the sans-I/O session layer: one
 // session::Endpoint per end drives the protocol (frame parsing, duplicate
-// suppression, the completion handshake) while this file only moves bytes
-// between the endpoint and a UdpTransport — the same Endpoint class the
-// epidemic simulator steps in-process.
+// suppression, the completion handshake) while this file only moves
+// batches of datagrams between the endpoint and a UdpTransport through
+// the shared loopback I/O core (harness/loopback.hpp) — the same Endpoint
+// class the epidemic simulator steps in-process.
 //
 // Modes:
 //   ./build/examples/file_distribution [peers] [blocks] [scheme]
 //       Simulated swarm (scheme = ltnc|rlnc|wc|all; the paper's
 //       trade-off table).
-//   ./build/examples/file_distribution --udp-recv <port> [blocks] [bytes]
-//       Bind a real UDP socket, decode incoming LT frames, verify the
-//       deterministic content, ack the sender when complete.
-//   ./build/examples/file_distribution --udp-send <ip> <port> [blocks] [bytes]
-//       LT-encode the file and stream wire frames at the receiver until
-//       its ack (binary feedback, §III-C) comes back.
-//   ./build/examples/file_distribution --udp-loopback [blocks] [bytes]
-//       Both ends in one process over 127.0.0.1 — the CI smoke test that
-//       proves a file really transfers and verifies over UDP.
 //
-// Multi-file modes (directory → one content per file, multiplexed over a
-// single endpoint pair; ids derived from each file's chunk count, block
-// size and hash, so both ends agree without coordination — the receiver
-// reads the same directory to learn the registrations, then verifies the
-// decoded bytes hash-exact):
-//   ./build/examples/file_distribution --udp-send-dir <ip> <port> <dir> [bytes]
+// Transfer modes. A directory becomes one content per file, multiplexed
+// over a single endpoint pair; ids derive from each file's chunk count,
+// block size and hash, so both ends agree without coordination — the
+// receiver reads the same directory to learn the registrations, then
+// verifies the decoded bytes hash-exact. The single-file modes are the
+// one-content case: an in-memory synthetic file of [blocks] × [bytes]
+// deterministic blocks, registered as content id 0 so its frames keep the
+// v1 byte image.
+//   ./build/examples/file_distribution --udp-recv <port> [blocks] [bytes]
 //   ./build/examples/file_distribution --udp-recv-dir <port> <dir> [bytes]
+//       Bind a real UDP socket, decode incoming LT frames, verify every
+//       content, ack the sender when complete.
+//   ./build/examples/file_distribution --udp-send <ip> <port> [blocks] [bytes]
+//   ./build/examples/file_distribution --udp-send-dir <ip> <port> <dir> [bytes]
+//       LT-encode the contents and stream wire frames at the receiver
+//       until its per-content acks (binary feedback, §III-C) come back.
+//   ./build/examples/file_distribution --udp-loopback [blocks] [bytes]
 //   ./build/examples/file_distribution --udp-loopback-dir <dir> [bytes]
-//       The CI smoke test: ≥3 real files cross a real socket concurrently
-//       and every hash must match.
+//       Both ends in one process over 127.0.0.1 — the CI smoke tests that
+//       prove contents really transfer and verify over UDP.
 //
 // Sharded swarm mode (the multi-core data plane):
 //   ./build/examples/file_distribution --udp-swarm-loopback
 //       [peers] [blocks] [bytes] [--shards N] [--feedback binary|none]
 //       [--stats-period MS] [--prom FILE] [--trace FILE]
-//       One seeder socket fans the file out to `peers` receiver sockets in
-//       the same process. The seeder's session layer runs as a
+//       One seeder socket fans the synthetic file out to `peers` receiver
+//       sockets in the same process. The seeder's session layer runs as a
 //       session::ShardedEndpoint — N worker shards behind SPSC frame
 //       rings — while the main thread only moves batches of datagrams
 //       (sendmmsg/recvmmsg) between the socket and the rings.
@@ -56,14 +58,15 @@
 #include <iostream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/table.hpp"
 #include "dissemination/simulation.hpp"
+#include "harness/loopback.hpp"
 #include "lt/lt_encoder.hpp"
 #include "net/udp_transport.hpp"
 #include "session/endpoint.hpp"
@@ -78,55 +81,50 @@
 namespace {
 
 using namespace ltnc;
+using harness::BatchIo;
+using harness::PeerIndex;
 
-constexpr std::uint64_t kContentSeed = 20100621;  // the file's identity
+constexpr std::uint64_t kContentSeed = 20100621;  // the synthetic file
 
-/// What actually left through the socket (the endpoint's frames_sent
-/// counts frames *popped* for transmit; the kernel may still refuse one,
-/// so budgets and reports must count acceptances, as the pre-session
-/// loops did).
-struct UdpTally {
-  std::uint64_t frames = 0;
-  std::uint64_t bytes = 0;
+/// Wall-clock budget for a loop that sees no traffic at all; a stall
+/// fails in bounded time whatever one loop iteration costs.
+constexpr std::chrono::seconds kIdleLimit{10};
+
+/// Frames offered per send burst — one sendmmsg call. Small enough that
+/// the loopback receiver, drained after every burst, stops the sender
+/// within a few frames of decoding.
+constexpr std::size_t kBurstFrames = 16;
+
+/// expired() once kIdleLimit has passed since construction or the last
+/// poke().
+class IdleTimer {
+ public:
+  void poke() { last_ = std::chrono::steady_clock::now(); }
+  bool expired() const {
+    return std::chrono::steady_clock::now() - last_ > kIdleLimit;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point last_ =
+      std::chrono::steady_clock::now();
 };
 
-/// Sends every frame the endpoint has queued, tallying accepted sends.
-void flush(session::Endpoint& endpoint, net::Transport& transport,
-           wire::Frame& scratch, UdpTally& sent) {
-  session::PeerId peer = 0;
-  while (endpoint.poll_transmit(peer, scratch)) {
-    if (transport.send(scratch.bytes())) {
-      ++sent.frames;
-      sent.bytes += scratch.size();
-    }
-  }
-}
-
-session::EndpointConfig receiver_config(
-    std::size_t blocks, std::size_t block_bytes,
+session::EndpointConfig endpoint_config(
+    bool receiver,
     session::FeedbackMode feedback = session::FeedbackMode::kNone) {
+  // Dimensions live per content in the store; the endpoint itself is
+  // dimension-less. Default: the sender streams rateless frames without a
+  // per-packet handshake; the session closes with per-content completion
+  // kAcks (re-announced on tick so a lost ack cannot wedge the sender).
+  // With kBinary the receiver additionally answers each advertise with
+  // abort/proceed.
   session::EndpointConfig cfg;
-  cfg.k = blocks;
-  cfg.payload_bytes = block_bytes;
-  // Default: the sender streams rateless frames without a per-packet
-  // handshake; the session closes with the completion kAck (re-announced
-  // on tick so a lost ack cannot wedge the sender). With kBinary the
-  // receiver additionally answers each advertise with abort/proceed.
   cfg.feedback = feedback;
-  cfg.announce_completion = true;
-  cfg.response_timeout = 1;
-  cfg.max_retries = 7;  // 8 announcements in total
-  return cfg;
-}
-
-session::EndpointConfig sender_config(
-    std::size_t blocks, std::size_t block_bytes,
-    session::FeedbackMode feedback = session::FeedbackMode::kNone) {
-  session::EndpointConfig cfg;
-  cfg.k = blocks;
-  cfg.payload_bytes = block_bytes;
-  cfg.feedback = feedback;
-  if (feedback == session::FeedbackMode::kBinary) {
+  if (receiver) {
+    cfg.announce_completion = true;
+    cfg.response_timeout = 1;
+    cfg.max_retries = 7;  // 8 announcements in total
+  } else if (feedback == session::FeedbackMode::kBinary) {
     // Advertises await the peer's abort/proceed; over a real (if
     // loopback) socket the answer takes a scheduler-dependent number of
     // worker iterations, so give the retransmit timer slack — the swarm
@@ -138,190 +136,30 @@ session::EndpointConfig sender_config(
   return cfg;
 }
 
-void print_receiver_summary(const session::Endpoint& endpoint,
-                            std::size_t blocks, std::size_t block_bytes) {
-  const session::SessionStats& s = endpoint.stats();
-  std::cout << "receiver: decoded and verified " << blocks << " blocks ("
-            << blocks * block_bytes << " content bytes) from "
-            << s.frames_received << " frames / " << s.bytes_received
-            << " wire bytes — overhead "
-            << (static_cast<double>(s.bytes_received) /
-                    static_cast<double>(blocks * block_bytes) -
-                1.0) *
-                   100.0
-            << " %\n";
-}
-
-/// Feeds frames from `transport` into the endpoint until its decoder
-/// completes (or the spin budget runs out), then verifies every block and
-/// acks the sender.
-int run_udp_receiver(net::UdpTransport& transport, std::size_t blocks,
-                     std::size_t block_bytes) {
-  session::Endpoint endpoint(
-      receiver_config(blocks, block_bytes),
-      std::make_unique<session::LtSinkProtocol>(blocks, block_bytes));
-  wire::Frame frame;
-  std::uint64_t idle_spins = 0;
-  // ~10s of polling with no traffic at all = give up.
-  constexpr std::uint64_t kMaxIdleSpins = 200'000'000;
-
-  while (!endpoint.complete()) {
-    if (!transport.recv(frame)) {
-      if (++idle_spins > kMaxIdleSpins) {
-        std::cerr << "receiver: timed out waiting for frames\n";
-        return 1;
-      }
-      continue;
-    }
-    idle_spins = 0;
-    // The endpoint absorbs malformed and foreign frames itself (stray
-    // datagrams on an open port must never wedge the listener).
-    endpoint.handle_frame(0, frame.bytes());
-  }
-
-  if (!endpoint.protocol()->finish_and_verify(kContentSeed)) {
-    std::cerr << "receiver: content failed verification\n";
-    return 1;
-  }
-
-  // The endpoint queued its completion kAck at the delivering frame;
-  // tick() re-announces it, giving the burst that survives loss.
-  if (transport.set_peer_to_last_sender()) {
-    UdpTally acks;
-    for (session::Instant now = 1; now <= 8; ++now) {
-      flush(endpoint, transport, frame, acks);
-      endpoint.tick(now);
-    }
-  }
-
-  print_receiver_summary(endpoint, blocks, block_bytes);
-  return 0;
-}
-
-/// Streams encoded frames at the peer until its completion ack arrives.
-int run_udp_sender(net::UdpTransport& transport, std::size_t blocks,
-                   std::size_t block_bytes) {
-  lt::LtEncoder encoder(
-      lt::make_native_payloads(blocks, block_bytes, kContentSeed));
-  session::Endpoint endpoint(sender_config(blocks, block_bytes), nullptr);
-  Rng rng(1);
-  wire::Frame frame;
-  wire::Frame feedback;
-  // Worst-case budget: BP needs a small multiple of k packets; loopback
-  // drops under bursty sends add some more.
-  const std::uint64_t max_frames = 400 * blocks + 100000;
-
-  UdpTally sent;
-  while (!endpoint.peer_completed() && sent.frames < max_frames) {
-    endpoint.offer_packet(0, encoder.encode(rng));
-    flush(endpoint, transport, frame, sent);
-
-    // Poll the feedback channel between sends; pace bursts so a loopback
-    // receiver in the same process can keep up.
-    if (sent.frames % 16 == 0 && transport.recv(feedback)) {
-      endpoint.handle_frame(0, feedback.bytes());
-    }
-  }
-  if (!endpoint.peer_completed()) {
-    std::cerr << "sender: no ack after " << sent.frames << " frames\n";
-    return 1;
-  }
-  std::cout << "sender: receiver acked after "
-            << endpoint.peer_completion_token() << " received frames; sent "
-            << sent.frames << " frames / " << sent.bytes << " wire bytes\n";
-  return 0;
-}
-
-/// Sender and receiver endpoints in one process over loopback — frame
-/// pacing is explicit (send a small burst, drain the receiver) so kernel
-/// socket buffers never overflow unrealistically.
-int run_udp_loopback(std::size_t blocks, std::size_t block_bytes) {
-  std::string error;
-  net::UdpConfig rx_cfg;
-  rx_cfg.bind_address = "127.0.0.1";
-  auto rx_transport = net::UdpTransport::open(rx_cfg, &error);
-  if (rx_transport == nullptr) {
-    std::cerr << "loopback: cannot open receiver socket: " << error << "\n";
-    return 1;
-  }
-  net::UdpConfig tx_cfg;
-  tx_cfg.bind_address = "127.0.0.1";
-  tx_cfg.peer_address = "127.0.0.1";
-  tx_cfg.peer_port = rx_transport->local_port();
-  auto tx_transport = net::UdpTransport::open(tx_cfg, &error);
-  if (tx_transport == nullptr) {
-    std::cerr << "loopback: cannot open sender socket: " << error << "\n";
-    return 1;
-  }
-  std::cout << "loopback: streaming " << blocks << " blocks of "
-            << block_bytes << " bytes over 127.0.0.1:"
-            << rx_transport->local_port() << "\n";
-
-  lt::LtEncoder encoder(
-      lt::make_native_payloads(blocks, block_bytes, kContentSeed));
-  session::Endpoint sender(sender_config(blocks, block_bytes), nullptr);
-  session::Endpoint receiver(
-      receiver_config(blocks, block_bytes),
-      std::make_unique<session::LtSinkProtocol>(blocks, block_bytes));
-  Rng rng(1);
-  wire::Frame tx_frame;
-  wire::Frame rx_frame;
-  UdpTally sent;
-  const std::uint64_t max_frames = 400 * blocks + 100000;
-
-  while (!receiver.complete() && sent.frames < max_frames) {
-    for (int burst = 0; burst < 8 && !receiver.complete(); ++burst) {
-      sender.offer_packet(0, encoder.encode(rng));
-      flush(sender, *tx_transport, tx_frame, sent);
-    }
-    while (rx_transport->recv(rx_frame)) {
-      receiver.handle_frame(0, rx_frame.bytes());
-    }
-  }
-
-  if (!receiver.complete()) {
-    std::cerr << "loopback: decoder incomplete after " << sent.frames
-              << " frames\n";
-    return 1;
-  }
-  if (!receiver.protocol()->finish_and_verify(kContentSeed)) {
-    std::cerr << "loopback: content failed verification\n";
-    return 1;
-  }
-
-  // Close the loop the way a real deployment would: the receiver's
-  // completion kAck crosses the socket back to the sender endpoint.
-  rx_transport->set_peer_to_last_sender();
-  UdpTally acks;
-  for (session::Instant now = 1; now <= 8 && !sender.peer_completed();
-       ++now) {
-    flush(receiver, *rx_transport, rx_frame, acks);
-    receiver.tick(now);
-    while (tx_transport->recv(tx_frame)) {
-      sender.handle_frame(0, tx_frame.bytes());
-    }
-  }
-
-  const session::SessionStats& rs = receiver.stats();
-  std::cout << "loopback: transferred and verified " << blocks * block_bytes
-            << " content bytes in " << rs.data_delivered << " frames ("
-            << rs.bytes_received << " wire bytes, overhead "
-            << (static_cast<double>(rs.bytes_received) /
-                    static_cast<double>(blocks * block_bytes) -
-                1.0) *
-                   100.0
-            << " %), ack "
-            << (sender.peer_completed() ? "received" : "NOT received")
-            << "\n";
-  return sender.peer_completed() ? 0 : 1;
-}
-
-// --- multi-file transfer (directory → one content per file) ----------------
+// --- contents: files on disk, or the synthetic one-content case -------------
 
 struct LoadedFile {
   store::FileContent meta;
   std::vector<std::uint8_t> bytes;
 };
+
+/// The single-file modes' content: `blocks` deterministic blocks of
+/// `block_bytes` held in memory, registered as content id 0 so every
+/// frame keeps the v1 byte image.
+std::vector<LoadedFile> synthetic_content(std::size_t blocks,
+                                          std::size_t block_bytes) {
+  LoadedFile file;
+  for (const Payload& block :
+       lt::make_native_payloads(blocks, block_bytes, kContentSeed)) {
+    const auto bytes = block.byte_view();
+    file.bytes.insert(file.bytes.end(), bytes.begin(), bytes.end());
+  }
+  file.meta = store::describe_file("synthetic", file.bytes, block_bytes);
+  file.meta.id = 0;
+  std::vector<LoadedFile> files;
+  files.push_back(std::move(file));
+  return files;
+}
 
 /// Reads every regular file under `dir` (sorted by name for a
 /// deterministic content set) and derives its registration record via the
@@ -369,18 +207,9 @@ bool load_directory(const std::string& dir, std::size_t block_bytes,
   return true;
 }
 
-session::EndpointConfig dir_endpoint_config(bool receiver) {
-  session::EndpointConfig cfg;
-  // Dimensions live per content in the store; the endpoint itself is
-  // dimension-less.
-  cfg.feedback = session::FeedbackMode::kNone;
-  cfg.announce_completion = receiver;
-  cfg.response_timeout = 1;
-  cfg.max_retries = 7;  // 8 per-content ack announcements in total
-  return cfg;
-}
-
-session::Endpoint make_dir_receiver(const std::vector<LoadedFile>& files) {
+session::Endpoint make_receiver(
+    const std::vector<LoadedFile>& files,
+    session::FeedbackMode feedback = session::FeedbackMode::kNone) {
   auto contents = std::make_unique<store::ContentStore>();
   for (const LoadedFile& file : files) {
     contents->register_content(
@@ -388,10 +217,13 @@ session::Endpoint make_dir_receiver(const std::vector<LoadedFile>& files) {
         std::make_unique<session::LtSinkProtocol>(file.meta.blocks,
                                                   file.meta.block_bytes));
   }
-  return session::Endpoint(dir_endpoint_config(true), std::move(contents));
+  return session::Endpoint(endpoint_config(true, feedback),
+                           std::move(contents));
 }
 
-session::Endpoint make_dir_sender(const std::vector<LoadedFile>& files) {
+session::Endpoint make_sender(
+    const std::vector<LoadedFile>& files,
+    session::FeedbackMode feedback = session::FeedbackMode::kNone) {
   auto contents = std::make_unique<store::ContentStore>();
   for (const LoadedFile& file : files) {
     // Seeder-only entries: dimensions pinned, no decode state — enough
@@ -399,11 +231,11 @@ session::Endpoint make_dir_sender(const std::vector<LoadedFile>& files) {
     contents->register_content(store::file_content_config(file.meta),
                                nullptr);
   }
-  return session::Endpoint(dir_endpoint_config(false), std::move(contents));
+  return session::Endpoint(endpoint_config(false, feedback),
+                           std::move(contents));
 }
 
-std::vector<lt::LtEncoder> make_dir_encoders(
-    const std::vector<LoadedFile>& files) {
+std::vector<lt::LtEncoder> make_encoders(const std::vector<LoadedFile>& files) {
   std::vector<lt::LtEncoder> encoders;
   encoders.reserve(files.size());
   for (const LoadedFile& file : files) {
@@ -413,7 +245,7 @@ std::vector<lt::LtEncoder> make_dir_encoders(
   return encoders;
 }
 
-/// Hash-verifies one decoded content against its on-disk original.
+/// Hash-verifies one decoded content against its original bytes.
 bool verify_received_file(session::Endpoint& endpoint,
                           const LoadedFile& file) {
   store::Content* content = endpoint.contents().find(file.meta.id);
@@ -428,165 +260,188 @@ bool verify_received_file(session::Endpoint& endpoint,
   return store::hash_bytes(bytes) == file.meta.hash;
 }
 
-std::uint64_t total_blocks(const std::vector<LoadedFile>& files) {
+bool verify_all(session::Endpoint& receiver,
+                const std::vector<LoadedFile>& files, const char* who) {
+  for (const LoadedFile& file : files) {
+    if (!verify_received_file(receiver, file)) {
+      std::cerr << who << ": " << file.meta.name
+                << " failed hash verification\n";
+      return false;
+    }
+  }
+  return true;
+}
+
+std::uint64_t total_bytes(const std::vector<LoadedFile>& files) {
+  std::uint64_t bytes = 0;
+  for (const LoadedFile& file : files) bytes += file.meta.size_bytes;
+  return bytes;
+}
+
+std::uint64_t max_frames(const std::vector<LoadedFile>& files) {
+  // Worst-case budget: BP needs a small multiple of k packets; loopback
+  // drops under bursty sends add some more.
   std::uint64_t blocks = 0;
   for (const LoadedFile& file : files) blocks += file.meta.blocks;
-  return blocks;
+  return 400 * blocks + 100000;
 }
 
-/// One round-robin burst: offer a packet of every not-yet-acked content.
-void offer_unacked(session::Endpoint& sender,
-                   const std::vector<LoadedFile>& files,
-                   std::vector<lt::LtEncoder>& encoders, Rng& rng) {
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    if (sender.peer_completed(0, files[i].meta.id)) continue;
-    sender.offer_packet(0, files[i].meta.id, encoders[i].encode(rng));
-  }
-}
-
-int run_udp_dir_sender(net::UdpTransport& transport,
-                       const std::vector<LoadedFile>& files) {
-  std::vector<lt::LtEncoder> encoders = make_dir_encoders(files);
-  session::Endpoint sender = make_dir_sender(files);
-  Rng rng(1);
-  wire::Frame frame;
-  wire::Frame feedback;
-  const std::uint64_t max_frames = 400 * total_blocks(files) + 100000;
-
-  UdpTally sent;
-  while (!sender.peer_completed_all(0) && sent.frames < max_frames) {
-    offer_unacked(sender, files, encoders, rng);
-    flush(sender, transport, frame, sent);
-    if (sent.frames % 16 == 0 && transport.recv(feedback)) {
-      sender.handle_frame(0, feedback.bytes());
-    }
-  }
-  if (!sender.peer_completed_all(0)) {
-    std::cerr << "sender: unacked contents remain after " << sent.frames
-              << " frames\n";
-    return 1;
-  }
-  std::cout << "sender: all " << files.size() << " files acked; sent "
-            << sent.frames << " frames / " << sent.bytes << " wire bytes\n";
-  return 0;
-}
-
-int run_udp_dir_receiver(net::UdpTransport& transport,
-                         const std::vector<LoadedFile>& files) {
-  session::Endpoint receiver = make_dir_receiver(files);
-  wire::Frame frame;
-  std::uint64_t idle_spins = 0;
-  constexpr std::uint64_t kMaxIdleSpins = 200'000'000;
-
-  while (!receiver.complete()) {
-    if (!transport.recv(frame)) {
-      if (++idle_spins > kMaxIdleSpins) {
-        std::cerr << "receiver: timed out waiting for frames\n";
-        return 1;
-      }
-      continue;
-    }
-    idle_spins = 0;
-    receiver.handle_frame(0, frame.bytes());
-  }
-  for (const LoadedFile& file : files) {
-    if (!verify_received_file(receiver, file)) {
-      std::cerr << "receiver: " << file.meta.name
-                << " failed hash verification\n";
-      return 1;
-    }
-  }
-  if (transport.set_peer_to_last_sender()) {
-    UdpTally acks;
-    for (session::Instant now = 1; now <= 8; ++now) {
-      flush(receiver, transport, frame, acks);
-      receiver.tick(now);
-    }
-  }
+void print_receiver_summary(const char* who,
+                            const session::Endpoint& receiver,
+                            const std::vector<LoadedFile>& files) {
   const session::SessionStats& s = receiver.stats();
-  std::cout << "receiver: decoded and hash-verified " << files.size()
-            << " files from " << s.frames_received << " frames / "
-            << s.bytes_received << " wire bytes\n";
-  return 0;
+  const double content = static_cast<double>(total_bytes(files));
+  std::cout << who << ": decoded and hash-verified " << files.size()
+            << " content(s), " << total_bytes(files) << " bytes, from "
+            << s.data_delivered << " data frames / " << s.bytes_received
+            << " wire bytes — overhead "
+            << (static_cast<double>(s.bytes_received) / content - 1.0) * 100.0
+            << " %\n";
 }
 
-int run_udp_loopback_dir(const std::string& dir, std::size_t block_bytes) {
-  std::vector<LoadedFile> files;
-  if (!load_directory(dir, block_bytes, files)) return 1;
-
-  std::string error;
-  net::UdpConfig rx_cfg;
-  rx_cfg.bind_address = "127.0.0.1";
-  auto rx_transport = net::UdpTransport::open(rx_cfg, &error);
-  if (rx_transport == nullptr) {
-    std::cerr << "loopback: cannot open receiver socket: " << error << "\n";
-    return 1;
-  }
-  net::UdpConfig tx_cfg;
-  tx_cfg.bind_address = "127.0.0.1";
-  tx_cfg.peer_address = "127.0.0.1";
-  tx_cfg.peer_port = rx_transport->local_port();
-  auto tx_transport = net::UdpTransport::open(tx_cfg, &error);
-  if (tx_transport == nullptr) {
-    std::cerr << "loopback: cannot open sender socket: " << error << "\n";
-    return 1;
-  }
-  std::cout << "loopback: streaming " << files.size() << " files ("
-            << total_blocks(files) << " blocks of " << block_bytes
-            << " bytes) over 127.0.0.1:" << rx_transport->local_port()
-            << "\n";
-
-  std::vector<lt::LtEncoder> encoders = make_dir_encoders(files);
-  session::Endpoint sender = make_dir_sender(files);
-  session::Endpoint receiver = make_dir_receiver(files);
-  Rng rng(1);
-  wire::Frame tx_frame;
-  wire::Frame rx_frame;
-  UdpTally sent;
-  const std::uint64_t max_frames = 400 * total_blocks(files) + 100000;
-
-  while (!receiver.complete() && sent.frames < max_frames) {
-    // Interleaved burst: one packet per unfinished content, then drain —
-    // the contents genuinely share the socket instead of queueing up.
-    for (int burst = 0; burst < 4 && !receiver.complete(); ++burst) {
-      offer_unacked(sender, files, encoders, rng);
-      flush(sender, *tx_transport, tx_frame, sent);
+/// Offers rounds of one packet per not-yet-acked content until
+/// kBurstFrames are queued toward peer 0.
+void offer_burst(session::Endpoint& sender,
+                 const std::vector<LoadedFile>& files,
+                 std::vector<lt::LtEncoder>& encoders, Rng& rng) {
+  for (std::size_t queued = 0; queued < kBurstFrames;) {
+    const std::size_t before = queued;
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      if (sender.peer_completed(0, files[i].meta.id)) continue;
+      sender.offer_packet(0, files[i].meta.id, encoders[i].encode(rng));
+      ++queued;
     }
-    while (rx_transport->recv(rx_frame)) {
-      receiver.handle_frame(0, rx_frame.bytes());
-    }
+    if (queued == before) break;  // everything acked
   }
+}
 
-  if (!receiver.complete()) {
-    std::cerr << "loopback: decode incomplete after " << sent.frames
-              << " frames\n";
-    return 1;
-  }
-  for (const LoadedFile& file : files) {
-    if (!verify_received_file(receiver, file)) {
-      std::cerr << "loopback: " << file.meta.name
-                << " failed hash verification\n";
+/// Feeds frames from `socket` into the receiver until every content
+/// decodes (or the link stays idle for kIdleLimit), verifies every
+/// content and acks the sender.
+int run_udp_dir_receiver(net::UdpTransport& socket,
+                         const std::vector<LoadedFile>& files) {
+  session::Endpoint receiver = make_receiver(files);
+  BatchIo io;
+  IdleTimer idle;
+  while (!receiver.complete()) {
+    // The endpoint absorbs malformed and foreign frames itself (stray
+    // datagrams on an open port must never wedge the listener).
+    const std::size_t n =
+        io.receive(socket, [&](PeerIndex peer, wire::Frame& frame) {
+          receiver.handle_frame(peer, frame.bytes());
+        });
+    if (n > 0) {
+      idle.poke();
+    } else if (idle.expired()) {
+      std::cerr << "receiver: timed out waiting for frames\n";
       return 1;
     }
   }
+  if (!verify_all(receiver, files, "receiver")) return 1;
+  // The endpoint queued its completion kAcks at the delivering frames;
+  // tick() re-announces them, giving the burst that survives loss.
+  for (session::Instant now = 1; now <= 8; ++now) {
+    io.transmit(socket, receiver);
+    receiver.tick(now);
+  }
+  print_receiver_summary("receiver", receiver, files);
+  return 0;
+}
+
+/// Streams encoded frames at the socket's peer 0 until it acks every
+/// content.
+int run_udp_dir_sender(net::UdpTransport& socket,
+                       const std::vector<LoadedFile>& files) {
+  std::vector<lt::LtEncoder> encoders = make_encoders(files);
+  session::Endpoint sender = make_sender(files);
+  Rng rng(1);
+  BatchIo io;
+  IdleTimer idle;
+  const std::uint64_t budget = max_frames(files);
+  while (!sender.peer_completed_all(0) &&
+         socket.stats().frames_sent < budget) {
+    offer_burst(sender, files, encoders, rng);
+    const std::uint64_t before = socket.stats().frames_sent;
+    io.transmit(socket, sender);
+    // One receiver: every datagram back is its feedback.
+    io.receive(socket, [&](PeerIndex, wire::Frame& frame) {
+      sender.handle_frame(0, frame.bytes());
+    });
+    if (socket.stats().frames_sent > before) {
+      idle.poke();
+    } else if (idle.expired()) {
+      std::cerr << "sender: socket refused every frame for "
+                << kIdleLimit.count() << " s\n";
+      return 1;
+    }
+  }
+  const net::UdpStats& us = socket.stats();
+  if (!sender.peer_completed_all(0)) {
+    std::cerr << "sender: unacked contents remain after " << us.frames_sent
+              << " frames\n";
+    return 1;
+  }
+  std::cout << "sender: all " << files.size() << " content(s) acked; sent "
+            << us.frames_sent << " frames / " << us.bytes_sent
+            << " wire bytes in " << us.send_calls << " send calls\n";
+  return 0;
+}
+
+/// Sender and receiver endpoints in one process over loopback — pacing
+/// is explicit (send one burst, drain the receiver) so kernel socket
+/// buffers never overflow unrealistically.
+int run_udp_loopback_dir(const std::vector<LoadedFile>& files) {
+  std::string error;
+  std::optional<harness::Loopback> net = harness::open_loopback(1, 1, &error);
+  if (!net) {
+    std::cerr << "loopback: cannot open sockets: " << error << "\n";
+    return 1;
+  }
+  // Each end is PeerIndex 0 on the other's socket.
+  net::UdpTransport& tx = *net->services[0];
+  net::UdpTransport& rx = *net->clients[0];
+  std::cout << "loopback: streaming " << files.size() << " content(s) ("
+            << total_bytes(files) << " bytes in blocks of "
+            << files.front().meta.block_bytes << ") over 127.0.0.1:"
+            << rx.local_port() << "\n";
+
+  std::vector<lt::LtEncoder> encoders = make_encoders(files);
+  session::Endpoint sender = make_sender(files);
+  session::Endpoint receiver = make_receiver(files);
+  Rng rng(1);
+  BatchIo io;
+  const auto to_receiver = [&](PeerIndex peer, wire::Frame& frame) {
+    receiver.handle_frame(peer, frame.bytes());
+  };
+  const auto to_sender = [&](PeerIndex peer, wire::Frame& frame) {
+    sender.handle_frame(peer, frame.bytes());
+  };
+  const std::uint64_t budget = max_frames(files);
+  while (!receiver.complete() && tx.stats().frames_sent < budget) {
+    // Interleaved bursts: one packet per unfinished content per round,
+    // so the contents genuinely share the socket instead of queueing up.
+    offer_burst(sender, files, encoders, rng);
+    io.transmit(tx, sender);
+    io.receive(rx, to_receiver, BatchIo::kUntilEmpty);
+  }
+  if (!receiver.complete()) {
+    std::cerr << "loopback: decode incomplete after " << tx.stats().frames_sent
+              << " frames\n";
+    return 1;
+  }
+  if (!verify_all(receiver, files, "loopback")) return 1;
 
   // Per-content completion acks flow back over the socket until the
-  // sender has marked every file done.
-  rx_transport->set_peer_to_last_sender();
-  UdpTally acks;
+  // sender has marked every content done.
   for (session::Instant now = 1;
        now <= 8 && !sender.peer_completed_all(0); ++now) {
-    flush(receiver, *rx_transport, rx_frame, acks);
+    io.transmit(rx, receiver);
     receiver.tick(now);
-    while (tx_transport->recv(tx_frame)) {
-      sender.handle_frame(0, tx_frame.bytes());
-    }
+    io.receive(tx, to_sender, BatchIo::kUntilEmpty);
   }
-
-  const session::SessionStats& rs = receiver.stats();
-  std::cout << "loopback: transferred and hash-verified " << files.size()
-            << " files in " << rs.data_delivered << " frames ("
-            << rs.bytes_received << " wire bytes), all acks "
+  print_receiver_summary("loopback", receiver, files);
+  std::cout << "loopback: " << tx.stats().frames_sent << " frames in "
+            << tx.stats().send_calls << " send calls, all acks "
             << (sender.peer_completed_all(0) ? "received" : "NOT received")
             << "\n";
   return sender.peer_completed_all(0) ? 0 : 1;
@@ -602,10 +457,10 @@ int run_udp_loopback_dir(const std::string& dir, std::size_t block_bytes) {
 /// scratch stays shard-local.
 class SwarmSeederApp final : public session::ShardApp {
  public:
-  SwarmSeederApp(std::size_t blocks, std::size_t block_bytes,
+  SwarmSeederApp(const std::vector<LoadedFile>& files,
                  std::uint32_t num_peers, std::uint32_t num_shards,
-                 session::FeedbackMode feedback = session::FeedbackMode::kNone)
-      : blocks_(blocks), block_bytes_(block_bytes), feedback_(feedback) {
+                 session::FeedbackMode feedback)
+      : files_(files), feedback_(feedback) {
     assigned_.resize(num_shards);
     for (std::uint32_t p = 0; p < num_peers; ++p) {
       assigned_[session::shard_of(p, 0, num_shards)].push_back(p);
@@ -617,10 +472,10 @@ class SwarmSeederApp final : public session::ShardApp {
 
   std::unique_ptr<session::Endpoint> make_endpoint(
       std::uint32_t shard) override {
-    auto st = std::make_unique<ShardState>(blocks_, block_bytes_, shard);
+    auto st = std::make_unique<ShardState>(files_.front(), shard);
     state_[shard] = std::move(st);  // distinct slots: no cross-shard writes
     return std::make_unique<session::Endpoint>(
-        sender_config(blocks_, block_bytes_, feedback_), nullptr);
+        make_sender(files_, feedback_));
   }
 
   bool pump(std::uint32_t shard, session::Endpoint& endpoint) override {
@@ -660,14 +515,12 @@ class SwarmSeederApp final : public session::ShardApp {
   struct ShardState {
     lt::LtEncoder encoder;
     Rng rng;
-    ShardState(std::size_t blocks, std::size_t block_bytes,
-               std::uint32_t shard)
-        : encoder(lt::make_native_payloads(blocks, block_bytes, kContentSeed)),
+    ShardState(const LoadedFile& file, std::uint32_t shard)
+        : encoder(store::chunk_bytes(file.bytes, file.meta.block_bytes)),
           rng(1000 + shard) {}
   };
 
-  std::size_t blocks_;
-  std::size_t block_bytes_;
+  const std::vector<LoadedFile>& files_;
   session::FeedbackMode feedback_;
   std::vector<std::vector<session::PeerId>> assigned_;
   std::vector<std::unique_ptr<ShardState>> state_;
@@ -697,38 +550,17 @@ std::string histogram_digest(const telemetry::Snapshot& snap,
 int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
                            std::size_t block_bytes, std::uint32_t shards,
                            const SwarmOptions& opts) {
+  const std::vector<LoadedFile> files = synthetic_content(blocks, block_bytes);
+  // Receiver p owns client socket p, which is PeerIndex p on the seeder's
+  // socket and doubles as its session::PeerId everywhere below.
   std::string error;
-
-  // One socket per receiver peer, all on loopback.
-  std::vector<std::unique_ptr<net::UdpTransport>> rx_transports;
-  for (std::size_t p = 0; p < peers; ++p) {
-    net::UdpConfig cfg;
-    cfg.bind_address = "127.0.0.1";
-    auto transport = net::UdpTransport::open(cfg, &error);
-    if (transport == nullptr) {
-      std::cerr << "swarm: cannot open receiver socket: " << error << "\n";
-      return 1;
-    }
-    rx_transports.push_back(std::move(transport));
-  }
-
-  // The seeder's single socket; receiver p interns to PeerIndex p, which
-  // doubles as its session::PeerId everywhere below.
-  net::UdpConfig seed_cfg;
-  seed_cfg.bind_address = "127.0.0.1";
-  auto seeder = net::UdpTransport::open(seed_cfg, &error);
-  if (seeder == nullptr) {
-    std::cerr << "swarm: cannot open seeder socket: " << error << "\n";
+  std::optional<harness::Loopback> net =
+      harness::open_loopback(peers, 1, &error);
+  if (!net) {
+    std::cerr << "swarm: cannot open sockets: " << error << "\n";
     return 1;
   }
-  for (std::size_t p = 0; p < peers; ++p) {
-    const auto index =
-        seeder->add_peer("127.0.0.1", rx_transports[p]->local_port());
-    if (index != static_cast<net::UdpTransport::PeerIndex>(p)) {
-      std::cerr << "swarm: peer interning broke\n";
-      return 1;
-    }
-  }
+  net::UdpTransport& seeder = *net->services[0];
 
   std::cout << "swarm: seeding " << blocks << " blocks of " << block_bytes
             << " bytes to " << peers << " receivers over " << shards
@@ -736,7 +568,7 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
             << (opts.feedback == session::FeedbackMode::kBinary ? "binary"
                                                                 : "none")
             << ", batched I/O "
-            << (seeder->batching_active() ? "on" : "off (fallback)") << "\n";
+            << (seeder.batching_active() ? "on" : "off (fallback)") << "\n";
 
   // Telemetry: one registry shared by the shards (per-shard series, the
   // constructor labels them) and the seeder socket. All observer-only —
@@ -753,7 +585,7 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
       &registry.counter("ltnc_udp_transient_errors_total");
   transport_instruments.fatal_errors =
       &registry.counter("ltnc_udp_fatal_errors_total");
-  seeder->set_telemetry(&transport_instruments);
+  seeder.set_telemetry(&transport_instruments);
 
   // Receiver fleet on its own thread: plain single-threaded sink
   // endpoints, one per socket — the peers are ordinary nodes; only the
@@ -761,60 +593,49 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
   std::atomic<bool> seeder_done{false};
   std::atomic<bool> rx_failed{false};
   std::atomic<std::uint64_t> rx_complete{0};
-  std::thread rx_thread([&] {
-    {
-      std::vector<session::Endpoint> endpoints;
-      endpoints.reserve(peers);
+  harness::ThreadGroup rx_thread;
+  rx_thread.spawn([&] {
+    std::vector<session::Endpoint> endpoints;
+    endpoints.reserve(peers);
+    for (std::size_t p = 0; p < peers; ++p) {
+      endpoints.push_back(make_receiver(files, opts.feedback));
+    }
+    std::vector<bool> counted(peers, false);
+    BatchIo io;
+    std::uint64_t iterations = 0;
+    while (!seeder_done.load(std::memory_order_relaxed)) {
+      bool any = false;
       for (std::size_t p = 0; p < peers; ++p) {
-        endpoints.emplace_back(
-            receiver_config(blocks, block_bytes, opts.feedback),
-            std::make_unique<session::LtSinkProtocol>(blocks, block_bytes));
+        session::Endpoint& endpoint = endpoints[p];
+        any |= io.receive(*net->clients[p],
+                          [&](PeerIndex peer, wire::Frame& frame) {
+                            endpoint.handle_frame(peer, frame.bytes());
+                          },
+                          BatchIo::kUntilEmpty) > 0;
+        io.transmit(*net->clients[p], endpoint);
+        if (!counted[p] && endpoint.complete()) {
+          counted[p] = true;
+          rx_complete.fetch_add(1, std::memory_order_relaxed);
+        }
       }
-      std::vector<bool> locked(peers, false);  // feedback channel acquired
-      std::vector<bool> counted(peers, false);
-      wire::Frame frame;
-      UdpTally acks;
-      std::uint64_t iterations = 0;
-      while (!seeder_done.load(std::memory_order_relaxed)) {
-        bool any = false;
-        for (std::size_t p = 0; p < peers; ++p) {
-          while (rx_transports[p]->recv(frame)) {
-            endpoints[p].handle_frame(0, frame.bytes());
-            any = true;
-          }
-          if (!locked[p] && rx_transports[p]->set_peer_to_last_sender()) {
-            locked[p] = true;
-          }
-          if (locked[p]) {
-            flush(endpoints[p], *rx_transports[p], frame, acks);
-          }
-          if (!counted[p] && endpoints[p].complete()) {
-            counted[p] = true;
-            rx_complete.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        if (++iterations % 1024 == 0) {
-          for (auto& endpoint : endpoints) endpoint.tick(iterations / 1024);
-        }
-        if (!any) std::this_thread::yield();
+      if (++iterations % 1024 == 0) {
+        for (auto& endpoint : endpoints) endpoint.tick(iterations / 1024);
       }
-      for (std::size_t p = 0; p < peers; ++p) {
-        if (!endpoints[p].complete() ||
-            !endpoints[p].protocol()->finish_and_verify(kContentSeed)) {
-          std::cerr << "swarm: receiver " << p << " failed verification\n";
-          rx_failed.store(true, std::memory_order_relaxed);
-        }
+      if (!any) std::this_thread::yield();
+    }
+    for (std::size_t p = 0; p < peers; ++p) {
+      if (!verify_received_file(endpoints[p], files.front())) {
+        std::cerr << "swarm: receiver " << p << " failed verification\n";
+        rx_failed.store(true, std::memory_order_relaxed);
       }
     }
-    WordArena::reclaim_local();  // worker-thread exit hygiene
   });
 
   // The seeder's I/O loop: this thread owns the socket and the ring
   // surface; the shards do all protocol work.
   int result = 0;
   {
-    SwarmSeederApp app(blocks, block_bytes,
-                       static_cast<std::uint32_t>(peers), shards,
+    SwarmSeederApp app(files, static_cast<std::uint32_t>(peers), shards,
                        opts.feedback);
     session::ShardedConfig cfg;
     cfg.num_shards = shards;
@@ -830,15 +651,17 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
     }
     session::ShardedEndpoint sharded(cfg, app);
 
-    constexpr std::size_t kBatch = net::UdpTransport::kMaxBatch;
-    std::vector<wire::Frame> rx_frames(kBatch);
-    std::vector<net::UdpTransport::PeerIndex> rx_peers(kBatch);
-    std::vector<wire::Frame> tx_frames(kBatch);
-    std::vector<net::UdpTransport::TxItem> tx_items(kBatch);
-    const std::uint64_t max_frames =
-        400 * blocks * peers + 100000 * peers;
-    std::uint64_t idle_spins = 0;
-    constexpr std::uint64_t kMaxIdleSpins = 200'000'000;
+    BatchIo io;
+    IdleTimer idle;
+    const std::uint64_t max_frames = 400 * blocks * peers + 100000 * peers;
+    // One socket batch gathered across the shard rings, shard by shard.
+    std::uint32_t shard = 0;
+    const auto poll_shards = [&](session::PeerId& dst, wire::Frame& frame) {
+      for (; shard < shards; ++shard) {
+        if (sharded.poll_transmit(shard, dst, frame)) return true;
+      }
+      return false;
+    };
 
     auto dump_snapshot = [&](const telemetry::Snapshot& snap) {
       if (!opts.prom_path.empty()) {
@@ -852,8 +675,6 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
     std::uint64_t loop_count = 0;
 
     while (app.peers_done() < peers) {
-      bool any = false;
-
       // Periodic exposition; the wall clock is only consulted every 4096
       // iterations so the hot loop stays syscall-and-ring-bound.
       if (opts.stats_period_ms != 0 && (++loop_count & 0xFFF) == 0) {
@@ -868,49 +689,36 @@ int run_udp_swarm_loopback(std::size_t peers, std::size_t blocks,
       }
 
       // Inbound: completion acks back into their conversation's shard.
-      const std::size_t received = seeder->recv_batch(rx_frames, rx_peers);
-      for (std::size_t i = 0; i < received; ++i) {
-        sharded.route_frame(rx_peers[i], rx_frames[i]);
-        any = true;
-      }
+      bool any = io.receive(seeder, [&](PeerIndex peer, wire::Frame& frame) {
+                   sharded.route_frame(peer, frame);
+                 }) > 0;
+      // Outbound: the frames stay alive in the batch until the syscall
+      // returns.
+      shard = 0;
+      any |= io.transmit(seeder, poll_shards, harness::KeepAll{}, 1) > 0;
 
-      // Outbound: gather one socket batch across the shard rings. The
-      // frames stay alive in tx_frames until the syscall returns.
-      std::size_t filled = 0;
-      for (std::uint32_t s = 0; s < shards && filled < kBatch; ++s) {
-        session::PeerId dst = 0;
-        while (filled < kBatch &&
-               sharded.poll_transmit(s, dst, tx_frames[filled])) {
-          tx_items[filled] = {dst, tx_frames[filled].bytes()};
-          ++filled;
-        }
-      }
-      if (filled > 0) {
-        seeder->send_batch({tx_items.data(), filled});
-        any = true;
-      }
-
-      if (seeder->stats().frames_sent > max_frames) {
+      if (seeder.stats().frames_sent > max_frames) {
         std::cerr << "swarm: frame budget exhausted ("
                   << app.peers_done() << "/" << peers << " peers done, "
                   << rx_complete.load() << " decoders complete)\n";
         result = 1;
         break;
       }
-      if (!any && ++idle_spins > kMaxIdleSpins) {
+      if (any) {
+        idle.poke();
+      } else if (idle.expired()) {
         std::cerr << "swarm: stalled (" << app.peers_done() << "/" << peers
                   << " peers done)\n";
         result = 1;
         break;
       }
-      if (any) idle_spins = 0;
     }
 
     seeder_done.store(true, std::memory_order_relaxed);
     rx_thread.join();
     sharded.stop();
 
-    const net::UdpStats& us = seeder->stats();
+    const net::UdpStats& us = seeder.stats();
     const session::SessionStats total = sharded.aggregate_stats();
     std::cout << "swarm: " << app.peers_done() << "/" << peers
               << " peers acked; seeder sent " << us.frames_sent
@@ -970,7 +778,7 @@ int run_swarm_comparison(std::size_t peers, std::size_t blocks,
   dissem::SimConfig cfg;
   cfg.num_nodes = peers;
   cfg.k = blocks;
-  cfg.payload_bytes = 64;  // simulation payload; see DESIGN.md §1.3
+  cfg.payload_bytes = 64;  // small blocks: the table compares coding costs
   cfg.seed = 7;
   cfg.max_rounds = 200 * blocks;
 
@@ -1028,8 +836,8 @@ int main(int argc, char** argv) {
   const std::string_view mode = argc > 1 ? argv[1] : "";
 
   if (mode == "--udp-loopback") {
-    return run_udp_loopback(arg_or(argc, argv, 2, 256),
-                            arg_or(argc, argv, 3, 1024));
+    return run_udp_loopback_dir(synthetic_content(
+        arg_or(argc, argv, 2, 256), arg_or(argc, argv, 3, 1024)));
   }
   if (mode == "--udp-swarm-loopback") {
     // Positional args first, then optional flags anywhere.
@@ -1100,89 +908,67 @@ int main(int argc, char** argv) {
                    "[block_bytes]\n";
       return 2;
     }
-    return run_udp_loopback_dir(argv[2], arg_or(argc, argv, 3, 1024));
+    std::vector<LoadedFile> files;
+    if (!load_directory(argv[2], arg_or(argc, argv, 3, 1024), files)) {
+      return 1;
+    }
+    return run_udp_loopback_dir(files);
   }
-  if (mode == "--udp-send-dir") {
-    if (argc < 5) {
-      std::cerr << "usage: file_distribution --udp-send-dir <ip> <port> "
-                   "<dir> [block_bytes]\n";
+  const bool send_dir = mode == "--udp-send-dir";
+  if (send_dir || mode == "--udp-send") {
+    if (argc < (send_dir ? 5 : 4)) {
+      std::cerr << (send_dir ? "usage: file_distribution --udp-send-dir <ip> "
+                               "<port> <dir> [block_bytes]\n"
+                             : "usage: file_distribution --udp-send <ip> "
+                               "<port> [blocks] [bytes]\n");
       return 2;
     }
     std::vector<LoadedFile> files;
-    if (!load_directory(argv[4], arg_or(argc, argv, 5, 1024), files)) {
+    if (!send_dir) {
+      files = synthetic_content(arg_or(argc, argv, 4, 256),
+                                arg_or(argc, argv, 5, 1024));
+    } else if (!load_directory(argv[4], arg_or(argc, argv, 5, 1024), files)) {
       return 1;
     }
     std::string error;
     net::UdpConfig cfg;
     cfg.peer_address = argv[2];
     cfg.peer_port = static_cast<std::uint16_t>(std::atoi(argv[3]));
-    auto transport = net::UdpTransport::open(cfg, &error);
-    if (transport == nullptr) {
+    auto socket = net::UdpTransport::open(cfg, &error);
+    if (socket == nullptr) {
       std::cerr << "cannot open socket: " << error << "\n";
       return 1;
     }
-    return run_udp_dir_sender(*transport, files);
+    return run_udp_dir_sender(*socket, files);
   }
-  if (mode == "--udp-recv-dir") {
-    if (argc < 4) {
-      std::cerr << "usage: file_distribution --udp-recv-dir <port> <dir> "
-                   "[block_bytes]\n";
+  const bool recv_dir = mode == "--udp-recv-dir";
+  if (recv_dir || mode == "--udp-recv") {
+    if (argc < (recv_dir ? 4 : 3)) {
+      std::cerr << (recv_dir ? "usage: file_distribution --udp-recv-dir "
+                               "<port> <dir> [block_bytes]\n"
+                             : "usage: file_distribution --udp-recv <port> "
+                               "[blocks] [bytes]\n");
       return 2;
     }
     std::vector<LoadedFile> files;
-    if (!load_directory(argv[3], arg_or(argc, argv, 4, 1024), files)) {
+    if (!recv_dir) {
+      files = synthetic_content(arg_or(argc, argv, 3, 256),
+                                arg_or(argc, argv, 4, 1024));
+    } else if (!load_directory(argv[3], arg_or(argc, argv, 4, 1024), files)) {
       return 1;
     }
     std::string error;
     net::UdpConfig cfg;
     cfg.bind_address = "0.0.0.0";
     cfg.bind_port = static_cast<std::uint16_t>(std::atoi(argv[2]));
-    auto transport = net::UdpTransport::open(cfg, &error);
-    if (transport == nullptr) {
+    auto socket = net::UdpTransport::open(cfg, &error);
+    if (socket == nullptr) {
       std::cerr << "cannot open socket: " << error << "\n";
       return 1;
     }
-    std::cout << "receiver: listening on UDP port " << transport->local_port()
-              << " for " << files.size() << " files\n";
-    return run_udp_dir_receiver(*transport, files);
-  }
-  if (mode == "--udp-recv") {
-    if (argc < 3) {
-      std::cerr << "usage: file_distribution --udp-recv <port> [blocks] "
-                   "[bytes]\n";
-      return 2;
-    }
-    std::string error;
-    net::UdpConfig cfg;
-    cfg.bind_address = "0.0.0.0";
-    cfg.bind_port = static_cast<std::uint16_t>(std::atoi(argv[2]));
-    auto transport = net::UdpTransport::open(cfg, &error);
-    if (transport == nullptr) {
-      std::cerr << "cannot open socket: " << error << "\n";
-      return 1;
-    }
-    std::cout << "receiver: listening on UDP port " << transport->local_port()
-              << "\n";
-    return run_udp_receiver(*transport, arg_or(argc, argv, 3, 256),
-                            arg_or(argc, argv, 4, 1024));
-  }
-  if (mode == "--udp-send") {
-    if (argc < 4) {
-      std::cerr << "usage: file_distribution --udp-send <ip> <port> [blocks] "
-                   "[bytes]\n";
-      return 2;
-    }
-    std::string error;
-    net::UdpConfig cfg;
-    cfg.peer_address = argv[2];
-    cfg.peer_port = static_cast<std::uint16_t>(std::atoi(argv[3]));
-    auto transport = net::UdpTransport::open(cfg, &error);
-    if (transport == nullptr) {
-      std::cerr << "cannot open socket: " << error << "\n";
-      return 1;
-    }
-    return run_udp_sender(*transport, arg_or(argc, argv, 4, 256),
-                          arg_or(argc, argv, 5, 1024));
+    std::cout << "receiver: listening on UDP port " << socket->local_port()
+              << " for " << files.size() << " content(s)\n";
+    return run_udp_dir_receiver(*socket, files);
   }
 
   return run_swarm_comparison(arg_or(argc, argv, 1, 100),

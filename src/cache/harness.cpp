@@ -1,12 +1,12 @@
 #include "cache/harness.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,9 +17,9 @@
 #include "common/payload.hpp"
 #include "common/rng.hpp"
 #include "dissemination/timer_wheel.hpp"
+#include "harness/loopback.hpp"
 #include "lt/bp_decoder.hpp"
 #include "lt/lt_encoder.hpp"
-#include "net/udp_transport.hpp"
 #include "session/endpoint.hpp"
 #include "store/content_store.hpp"
 #include "stream/stream_source.hpp"
@@ -105,18 +105,6 @@ void fold_outcome(CacheRunStats& out, const Instruments& inst,
   inst.edge_symbols->add(oc.symbols_from_edge);
   inst.source_symbols->add(oc.symbols_from_source);
   inst.latency->record(static_cast<std::uint64_t>(oc.latency));
-}
-
-void fill_latency_quantiles(CacheRunStats& out,
-                            const telemetry::Registry& registry,
-                            const char* latency_name) {
-  const telemetry::Snapshot snap = registry.snapshot();
-  if (const auto* h = snap.find_histogram(latency_name)) {
-    out.latency_samples = h->count();
-    out.latency_p50 = h->quantile(0.50);
-    out.latency_p99 = h->quantile(0.99);
-    out.latency_p999 = h->quantile(0.999);
-  }
 }
 
 void fold_cache(CacheRunStats& out, const EdgeCache& cache,
@@ -211,6 +199,73 @@ bool verify_decode(const lt::BpDecoder& decoder, std::size_t k,
   }
   return true;
 }
+
+/// The wire drivers' edge and source endpoints. Every catalog content is
+/// registered on both (the edge serves its cache entry, the source
+/// encodes the canonical content); content churn expires the retired id
+/// on both and registers its replacement. Pinned in place: the churn
+/// hook captures `this`.
+class ServicePair {
+ public:
+  session::Endpoint edge;
+  session::Endpoint source;
+  EdgeCache& cache;
+  std::size_t k;
+  std::size_t bytes;
+
+  ServicePair(Catalog& catalog, EdgeCache& edge_cache)
+      : edge(node_config(catalog), std::make_unique<store::ContentStore>()),
+        source(node_config(catalog), std::make_unique<store::ContentStore>()),
+        cache(edge_cache),
+        k(catalog.config().k),
+        bytes(catalog.config().symbol_bytes) {
+    for (std::size_t slot = 0; slot < catalog.size(); ++slot) {
+      register_content(catalog.id_of(slot), catalog.seed_of(slot));
+    }
+    catalog.set_on_replace([this, &catalog](std::size_t slot,
+                                            ContentId old_id,
+                                            ContentId new_id) {
+      edge.expire_content(old_id);
+      source.expire_content(old_id);
+      cache.forget(old_id);
+      cache.announce(new_id, k, bytes, catalog.weight_of(slot));
+      register_content(new_id, catalog.seed_of(slot));
+    });
+  }
+  ServicePair(const ServicePair&) = delete;
+  ServicePair& operator=(const ServicePair&) = delete;
+
+  void tick(Instant now) {
+    edge.tick(now);
+    source.tick(now);
+  }
+
+  /// Edge and backhaul wire bytes: everything each endpoint sent.
+  void fold(CacheRunStats& out, const Instruments& inst) const {
+    out.edge_bytes = edge.stats().bytes_sent;
+    out.backhaul_bytes = source.stats().bytes_sent;
+    inst.backhaul_bytes->add(out.backhaul_bytes);
+  }
+
+ private:
+  static session::EndpointConfig node_config(const Catalog& catalog) {
+    session::EndpointConfig cfg;
+    cfg.feedback = session::FeedbackMode::kNone;
+    cfg.expired_ring = std::max<std::size_t>(128, 4 * catalog.size());
+    return cfg;
+  }
+
+  void register_content(ContentId id, std::uint64_t seed) {
+    store::ContentConfig cc;
+    cc.id = id;
+    cc.k = k;
+    cc.payload_bytes = bytes;
+    edge.contents().register_content(
+        cc, std::make_unique<CacheEntryProtocol>(cache, id));
+    source.contents().register_content(
+        cc, std::make_unique<stream::LtSourceProtocol>(k, bytes, seed, false));
+  }
+};
 
 }  // namespace
 
@@ -352,7 +407,7 @@ CacheRunStats run_event_cache(const EventCacheConfig& config) {
   out.replacements = catalog.replacements();
   out.duration_ticks = wheel.now();
   fold_cache(out, cache, inst);
-  fill_latency_quantiles(out, registry, kLatency);
+  harness::latency_quantiles(registry, kLatency).store_into(out);
   return out;
 }
 
@@ -377,32 +432,9 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
   CacheRunStats out;
   out.users = sc.users;
 
-  session::EndpointConfig node_cfg;
-  node_cfg.feedback = session::FeedbackMode::kNone;
-  node_cfg.expired_ring = std::max<std::size_t>(128, 4 * catalog.size());
-  session::Endpoint edge(node_cfg, std::make_unique<store::ContentStore>());
-  session::Endpoint source(node_cfg, std::make_unique<store::ContentStore>());
-  const auto register_pair = [&](ContentId id, std::uint64_t seed) {
-    store::ContentConfig cc;
-    cc.id = id;
-    cc.k = k;
-    cc.payload_bytes = bytes;
-    edge.contents().register_content(
-        cc, std::make_unique<CacheEntryProtocol>(cache, id));
-    source.contents().register_content(
-        cc, std::make_unique<stream::LtSourceProtocol>(k, bytes, seed, false));
-  };
-  for (std::size_t slot = 0; slot < catalog.size(); ++slot) {
-    register_pair(catalog.id_of(slot), catalog.seed_of(slot));
-  }
-  catalog.set_on_replace([&](std::size_t slot, ContentId old_id,
-                             ContentId new_id) {
-    edge.expire_content(old_id);
-    source.expire_content(old_id);
-    cache.forget(old_id);
-    cache.announce(new_id, k, bytes, catalog.weight_of(slot));
-    register_pair(new_id, catalog.seed_of(slot));
-  });
+  ServicePair services(catalog, cache);
+  session::Endpoint& edge = services.edge;
+  session::Endpoint& source = services.source;
 
   if (proactive) place_all(cache, catalog, &out, &inst);
   std::uint64_t placed_version = catalog.version();
@@ -461,8 +493,7 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
       }
     }
     if (all_done) break;
-    edge.tick(t);
-    source.tick(t);
+    services.tick(t);
     if (proactive && placed_version != catalog.version()) {
       place_all(cache, catalog, &out, &inst);
       placed_version = catalog.version();
@@ -542,11 +573,9 @@ CacheRunStats run_sim_cache(const SimCacheConfig& config) {
 
   out.replacements = catalog.replacements();
   out.duration_ticks = t;
-  out.edge_bytes = edge.stats().bytes_sent;
-  out.backhaul_bytes = source.stats().bytes_sent;
-  inst.backhaul_bytes->add(out.backhaul_bytes);
+  services.fold(out, inst);
   fold_cache(out, cache, inst);
-  fill_latency_quantiles(out, registry, kLatency);
+  harness::latency_quantiles(registry, kLatency).store_into(out);
   return out;
 }
 
@@ -571,62 +600,16 @@ CacheRunStats run_udp_cache(const UdpCacheConfig& config) {
   CacheRunStats out;
   out.users = sc.users;
 
-  // User sockets open on this thread so the service sockets can intern
-  // their ports; each is then used exclusively by its user thread.
+  // Client u is user u's socket; service 0 is the edge and service 1 the
+  // source, which is FetchClient's tier contract (peer 1 = source).
   std::string error;
-  std::vector<std::unique_ptr<net::UdpTransport>> user_socks;
-  for (std::size_t u = 0; u < sc.users; ++u) {
-    net::UdpConfig ucfg;
-    ucfg.bind_address = "127.0.0.1";
-    auto sock = net::UdpTransport::open(ucfg, &error);
-    LTNC_CHECK_MSG(sock != nullptr, "udp cache: user bind failed");
-    user_socks.push_back(std::move(sock));
-  }
-  net::UdpConfig svc_cfg;
-  svc_cfg.bind_address = "127.0.0.1";
-  auto edge_tx = net::UdpTransport::open(svc_cfg, &error);
-  auto src_tx = net::UdpTransport::open(svc_cfg, &error);
-  LTNC_CHECK_MSG(edge_tx != nullptr && src_tx != nullptr,
-                 "udp cache: service bind failed");
-  for (std::size_t u = 0; u < sc.users; ++u) {
-    const std::uint16_t port = user_socks[u]->local_port();
-    LTNC_CHECK_MSG(
-        edge_tx->add_peer("127.0.0.1", port) ==
-                static_cast<net::UdpTransport::PeerIndex>(u) &&
-            src_tx->add_peer("127.0.0.1", port) ==
-                static_cast<net::UdpTransport::PeerIndex>(u),
-        "udp cache: peer interning out of order");
-    // User side: peer 0 = edge, peer 1 = source (FetchClient's contract).
-    user_socks[u]->add_peer("127.0.0.1", edge_tx->local_port());
-    user_socks[u]->add_peer("127.0.0.1", src_tx->local_port());
-  }
+  std::optional<harness::Loopback> net =
+      harness::open_loopback(sc.users, 2, &error);
+  LTNC_CHECK_MSG(net.has_value(), "udp cache: loopback bind failed");
 
-  session::EndpointConfig node_cfg;
-  node_cfg.feedback = session::FeedbackMode::kNone;
-  node_cfg.expired_ring = std::max<std::size_t>(128, 4 * catalog.size());
-  session::Endpoint edge(node_cfg, std::make_unique<store::ContentStore>());
-  session::Endpoint source(node_cfg, std::make_unique<store::ContentStore>());
-  const auto register_pair = [&](ContentId id, std::uint64_t seed) {
-    store::ContentConfig cc;
-    cc.id = id;
-    cc.k = k;
-    cc.payload_bytes = bytes;
-    edge.contents().register_content(
-        cc, std::make_unique<CacheEntryProtocol>(cache, id));
-    source.contents().register_content(
-        cc, std::make_unique<stream::LtSourceProtocol>(k, bytes, seed, false));
-  };
-  for (std::size_t slot = 0; slot < catalog.size(); ++slot) {
-    register_pair(catalog.id_of(slot), catalog.seed_of(slot));
-  }
-  catalog.set_on_replace([&](std::size_t slot, ContentId old_id,
-                             ContentId new_id) {
-    edge.expire_content(old_id);
-    source.expire_content(old_id);
-    cache.forget(old_id);
-    cache.announce(new_id, k, bytes, catalog.weight_of(slot));
-    register_pair(new_id, catalog.seed_of(slot));
-  });
+  ServicePair services(catalog, cache);
+  session::Endpoint& edge = services.edge;
+  session::Endpoint& source = services.source;
   if (proactive) place_all(cache, catalog, &out, &inst);
   std::uint64_t placed_version = catalog.version();
 
@@ -646,57 +629,43 @@ CacheRunStats run_udp_cache(const UdpCacheConfig& config) {
   std::vector<std::vector<FetchOutcome>> outcomes(sc.users);
   std::vector<std::vector<bool>> heads(sc.users);
   std::atomic<bool> abort{false};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto now_us = [&t0]() -> Instant {
-    return static_cast<Instant>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
+  const harness::MicrosClock now_us;
 
-  std::vector<std::thread> threads;
-  threads.reserve(sc.users);
+  harness::ThreadGroup threads;
   for (std::size_t u = 0; u < sc.users; ++u) {
-    threads.emplace_back([&, u] {
-      {
-        session::EndpointConfig client_cfg;
-        client_cfg.feedback = session::FeedbackMode::kNone;
-        FetchClient client(client_cfg);
-        net::UdpTransport& sock = *user_socks[u];
-        std::array<wire::Frame, net::UdpTransport::kMaxBatch> frames;
-        std::array<net::UdpTransport::PeerIndex,
-                   net::UdpTransport::kMaxBatch>
-            peers;
-        UserCtl& me = *ctl[u];
-        std::vector<FetchOutcome> local;
-        local.reserve(sc.requests_per_user);
-        for (std::size_t r = 0; r < sc.requests_per_user; ++r) {
-          me.state.store(1, std::memory_order_release);
-          while (me.state.load(std::memory_order_acquire) != 2 &&
-                 !abort.load(std::memory_order_relaxed)) {
+    threads.spawn([&, u] {
+      session::EndpointConfig client_cfg;
+      client_cfg.feedback = session::FeedbackMode::kNone;
+      FetchClient client(client_cfg);
+      harness::BatchIo io;
+      UserCtl& me = *ctl[u];
+      std::vector<FetchOutcome> local;
+      local.reserve(sc.requests_per_user);
+      for (std::size_t r = 0; r < sc.requests_per_user; ++r) {
+        me.state.store(1, std::memory_order_release);
+        while (me.state.load(std::memory_order_acquire) != 2 &&
+               !abort.load(std::memory_order_relaxed)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        if (abort.load(std::memory_order_relaxed)) break;
+        client.open(me.id, k, bytes, me.seed, now_us());
+        const Instant deadline = now_us() + config.request_timeout_us;
+        while (!client.complete() && now_us() < deadline &&
+               !abort.load(std::memory_order_relaxed)) {
+          const std::size_t n = io.receive(
+              *net->clients[u],
+              [&](harness::PeerIndex peer, wire::Frame& frame) {
+                client.ingest(peer == 1, frame.bytes(), now_us());
+              });
+          if (n == 0) {
             std::this_thread::sleep_for(std::chrono::microseconds(50));
           }
-          if (abort.load(std::memory_order_relaxed)) break;
-          client.open(me.id, k, bytes, me.seed, now_us());
-          const Instant deadline = now_us() + config.request_timeout_us;
-          while (!client.complete() && now_us() < deadline &&
-                 !abort.load(std::memory_order_relaxed)) {
-            const std::size_t n = sock.recv_batch(frames, peers);
-            for (std::size_t i = 0; i < n; ++i) {
-              client.ingest(peers[i] == 1, frames[i].bytes(), now_us());
-            }
-            if (n == 0) {
-              std::this_thread::sleep_for(std::chrono::microseconds(50));
-            }
-          }
-          local.push_back(client.finish(now_us()));
-          me.state.store(3, std::memory_order_release);
         }
-        outcomes[u] = std::move(local);
-        me.state.store(4, std::memory_order_release);
-        // `client` and `frames` die here, before the arena reclaim.
+        local.push_back(client.finish(now_us()));
+        me.state.store(3, std::memory_order_release);
       }
-      WordArena::reclaim_local();
+      outcomes[u] = std::move(local);
+      me.state.store(4, std::memory_order_release);
     });
   }
 
@@ -715,32 +684,17 @@ CacheRunStats run_udp_cache(const UdpCacheConfig& config) {
   Rng svc_rng(sc.seed);
   Rng serve_rng(sc.seed ^ 0x6a09e667f3bcc909ULL);
   Rng source_rng(sc.seed ^ 0xbb67ae8584caa73bULL);
-  std::array<wire::Frame, net::UdpTransport::kMaxBatch> out_frames;
-  std::array<net::UdpTransport::TxItem, net::UdpTransport::kMaxBatch> items;
+  harness::BatchIo io;
+  // The edge sits on the source→user path: reactive policies absorb the
+  // relayed symbols as they pass through.
+  const auto absorb = [&](session::PeerId, const wire::Frame& frame) {
+    if (!proactive) edge.handle_frame(source_peer, frame.bytes());
+    return true;
+  };
   const Instant horizon =
       static_cast<Instant>(sc.requests_per_user) *
           (config.request_timeout_us + 200'000) +
       2'000'000;
-  const auto drain = [&](session::Endpoint& ep, net::UdpTransport& tx,
-                         bool absorb_at_edge) -> bool {
-    bool sent = false;
-    for (;;) {
-      std::size_t n = 0;
-      session::PeerId dest = 0;
-      while (n < out_frames.size() && ep.poll_transmit(dest, out_frames[n])) {
-        if (absorb_at_edge) {
-          edge.handle_frame(source_peer, out_frames[n].bytes());
-        }
-        items[n] =
-            net::UdpTransport::TxItem{dest, out_frames[n].bytes()};
-        ++n;
-      }
-      if (n == 0) break;
-      tx.send_batch({items.data(), n});
-      sent = true;
-    }
-    return sent;
-  };
 
   for (;;) {
     bool all_done = true;
@@ -756,8 +710,7 @@ CacheRunStats run_udp_cache(const UdpCacheConfig& config) {
       abort.store(true, std::memory_order_relaxed);
       break;
     }
-    edge.tick(now);
-    source.tick(now);
+    services.tick(now);
     if (proactive && placed_version != catalog.version()) {
       place_all(cache, catalog, &out, &inst);
       placed_version = catalog.version();
@@ -803,13 +756,13 @@ CacheRunStats run_udp_cache(const UdpCacheConfig& config) {
         job.source_at = now + config.source_pace_us;
       }
     }
-    const bool sent_edge = drain(edge, *edge_tx, false);
-    const bool sent_src = drain(source, *src_tx, !proactive);
-    if (!progressed && !sent_edge && !sent_src) {
+    const std::size_t sent_edge = io.transmit(*net->services[0], edge);
+    const std::size_t sent_src = io.transmit(*net->services[1], source, absorb);
+    if (!progressed && sent_edge == 0 && sent_src == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   }
-  for (std::thread& th : threads) th.join();
+  threads.join();
 
   for (std::size_t u = 0; u < sc.users; ++u) {
     for (std::size_t r = 0; r < outcomes[u].size(); ++r) {
@@ -819,11 +772,9 @@ CacheRunStats run_udp_cache(const UdpCacheConfig& config) {
   }
   out.replacements = catalog.replacements();
   out.duration_ticks = now_us();
-  out.edge_bytes = edge.stats().bytes_sent;
-  out.backhaul_bytes = source.stats().bytes_sent;
-  inst.backhaul_bytes->add(out.backhaul_bytes);
+  services.fold(out, inst);
   fold_cache(out, cache, inst);
-  fill_latency_quantiles(out, registry, kLatency);
+  harness::latency_quantiles(registry, kLatency).store_into(out);
   return out;
 }
 

@@ -38,8 +38,8 @@ double SimResult::overhead() const {
   return n == 0 ? 0.0 : extra / static_cast<double>(n);
 }
 
-ProtocolParams SimCore::protocol_params() const {
-  ProtocolParams params;
+session::ProtocolParams SimCore::protocol_params() const {
+  session::ProtocolParams params;
   params.k = cfg_.k;
   params.payload_bytes = cfg_.payload_bytes;
   params.aggressiveness = cfg_.aggressiveness;
@@ -62,8 +62,8 @@ session::EndpointConfig SimCore::endpoint_config() const {
 
 std::unique_ptr<Endpoint> SimCore::make_endpoint() const {
   if (cfg_.num_contents == 1) {
-    return std::make_unique<Endpoint>(endpoint_config(),
-                                      make_node(scheme_, protocol_params()));
+    return std::make_unique<Endpoint>(
+        endpoint_config(), session::make_node(scheme_, protocol_params()));
   }
   // Multi-content mode: one protocol instance per content, multiplexed
   // over a single endpoint via its ContentStore + SwarmScheduler.
@@ -83,7 +83,7 @@ std::unique_ptr<Endpoint> SimCore::make_endpoint() const {
   return std::make_unique<Endpoint>(endpoint_config(), std::move(contents));
 }
 
-SimCore::SimCore(Scheme scheme, const SimConfig& config)
+SimCore::SimCore(session::Scheme scheme, const SimConfig& config)
     : scheme_(scheme),
       cfg_(config),
       rng_(config.seed),
@@ -143,7 +143,7 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
   ++per_content.attempts;
   const std::uint64_t seq = transfer_seq_++;
 
-  if (cfg_.feedback == FeedbackMode::kNone) {
+  if (cfg_.feedback == session::FeedbackMode::kNone) {
     // No handshake: one data frame, whose header span is always paid and
     // whose payload span pays only if it survives the lossy hop.
     route_frame(sender, target);
@@ -278,7 +278,7 @@ bool SimCore::node_push(NodeId sender) {
   const store::Content* content = ep.next_push(target);
   if (content == nullptr) return false;
   const ContentId cid = content->id();
-  if (cfg_.feedback == FeedbackMode::kSmart) {
+  if (cfg_.feedback == session::FeedbackMode::kSmart) {
     // Full feedback channel: the receiver ships its cc array first, as a
     // measured kCcArray frame the sender caches before constructing.
     Endpoint& receiver = endpoint(target);
@@ -376,7 +376,7 @@ SimResult SimCore::finalise() {
     auto& contents = endpoint->contents();
     for (std::size_t i = 0; i < contents.size(); ++i) {
       store::Content& content = contents.at(i);
-      NodeProtocol* node = content.protocol();
+      session::NodeProtocol* node = content.protocol();
       if (node == nullptr) continue;
       if (cfg_.verify_payloads && node->complete()) {
         // RLNC pays its back-substitution here, so decode costs include
@@ -390,13 +390,13 @@ SimResult SimCore::finalise() {
     result.sessions += endpoint->stats();
   }
 
-  if (scheme_ == Scheme::kLtnc) {
+  if (scheme_ == session::Scheme::kLtnc) {
     for (const auto& endpoint : endpoints_) {
       if (endpoint == nullptr) continue;
       const auto& contents = endpoint->contents();
       for (std::size_t ci = 0; ci < contents.size(); ++ci) {
-      const auto& proto =
-          static_cast<const LtncProtocol&>(*contents.at(ci).protocol());
+      const auto& proto = static_cast<const session::LtncProtocol&>(
+          *contents.at(ci).protocol());
       const auto& codec = proto.codec();
       const auto& s = codec.stats();
       result.ltnc_stats.receives += s.receives;
@@ -434,8 +434,8 @@ SimResult SimCore::finalise() {
       if (endpoint == nullptr) continue;
       const auto& contents = endpoint->contents();
       for (std::size_t ci = 0; ci < contents.size(); ++ci) {
-        const auto& proto =
-            static_cast<const LtncProtocol&>(*contents.at(ci).protocol());
+        const auto& proto = static_cast<const session::LtncProtocol&>(
+            *contents.at(ci).protocol());
         const auto& counts = proto.codec().occurrences().counts();
         for (std::size_t i = 0; i < cfg_.k; ++i) {
           total_occurrences[i] += counts[i];

@@ -1,12 +1,13 @@
 #include "stream/harness.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -15,7 +16,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "dissemination/timer_wheel.hpp"
-#include "net/udp_transport.hpp"
+#include "harness/loopback.hpp"
 #include "session/endpoint.hpp"
 #include "store/content_store.hpp"
 #include "stream/receiver.hpp"
@@ -51,18 +52,6 @@ std::size_t derive_pushes(const StreamConfig& stream) {
   const auto per_tick = static_cast<std::size_t>(
       std::ceil(budget / static_cast<double>(stream.ticks_per_block)));
   return per_tick + 1;
-}
-
-void fill_latency_quantiles(StreamRunStats& out,
-                            const telemetry::Registry& registry,
-                            const char* latency_name) {
-  const telemetry::Snapshot snap = registry.snapshot();
-  if (const auto* h = snap.find_histogram(latency_name)) {
-    out.latency_samples = h->count();
-    out.latency_p50 = h->quantile(0.50);
-    out.latency_p99 = h->quantile(0.99);
-    out.latency_p999 = h->quantile(0.999);
-  }
 }
 
 void fold_receiver(StreamRunStats& out, const Receiver& rx) {
@@ -159,7 +148,7 @@ StreamRunStats run_sim_stream(const SimStreamConfig& config) {
   out.duration_ticks = t;
   out.every_receiver_decoded = true;
   for (const auto& rx : fleet) fold_receiver(out, *rx);
-  fill_latency_quantiles(out, registry, kLatency);
+  harness::latency_quantiles(registry, kLatency).store_into(out);
   return out;
 }
 
@@ -242,7 +231,7 @@ StreamRunStats run_event_stream(const EventStreamConfig& config) {
   out.duration_ticks = wheel.now();
   out.every_receiver_decoded = true;
   for (const auto& rx : fleet) fold_receiver(out, *rx);
-  fill_latency_quantiles(out, registry, kLatency);
+  harness::latency_quantiles(registry, kLatency).store_into(out);
   return out;
 }
 
@@ -257,92 +246,52 @@ StreamRunStats run_udp_stream(const UdpStreamConfig& config) {
   const ReceiverInstruments inst = make_instruments(registry, kLatency);
 
   const std::uint64_t total = config.stream.total_blocks;
-  // Receiver sockets open on this thread so the sender can intern their
-  // ports; each is then used exclusively by its receiver thread.
-  std::vector<std::unique_ptr<net::UdpTransport>> rx_transports;
-  rx_transports.reserve(config.receivers);
+  // Receiver r owns client socket r; the sender is the one service.
   std::string error;
-  for (std::size_t r = 0; r < config.receivers; ++r) {
-    net::UdpConfig ucfg;
-    ucfg.bind_address = "127.0.0.1";
-    auto transport = net::UdpTransport::open(ucfg, &error);
-    LTNC_CHECK_MSG(transport != nullptr, "udp stream: receiver bind failed");
-    rx_transports.push_back(std::move(transport));
-  }
-  net::UdpConfig sender_cfg;
-  sender_cfg.bind_address = "127.0.0.1";
-  auto tx = net::UdpTransport::open(sender_cfg, &error);
-  LTNC_CHECK_MSG(tx != nullptr, "udp stream: sender bind failed");
-  for (std::size_t r = 0; r < config.receivers; ++r) {
-    const auto peer =
-        tx->add_peer("127.0.0.1", rx_transports[r]->local_port());
-    LTNC_CHECK_MSG(peer == static_cast<net::UdpTransport::PeerIndex>(r),
-                   "udp stream: peer interning out of order");
-  }
+  std::optional<harness::Loopback> net =
+      harness::open_loopback(config.receivers, 1, &error);
+  LTNC_CHECK_MSG(net.has_value(), "udp stream: loopback bind failed");
 
   // Births publish through an atomic table: slot holds birth+1 (0 = not
   // yet emitted) so block 0's birth of zero is distinguishable.
   std::unique_ptr<std::atomic<std::uint64_t>[]> births(
       new std::atomic<std::uint64_t>[total]());
   std::atomic<bool> abort{false};
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto now_us = [&t0]() -> Instant {
-    return static_cast<Instant>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  };
+  const harness::MicrosClock now_us;
 
-  struct RxOutcome {
-    ReceiverStats stream;
-    session::SessionStats session;
-  };
-  std::vector<RxOutcome> outcomes(config.receivers);
-  std::vector<std::thread> threads;
-  threads.reserve(config.receivers);
+  StreamRunStats out;
+  out.every_receiver_decoded = true;
+  std::mutex fold_mutex;
+  session::EndpointConfig net_cfg;
+  net_cfg.feedback = session::FeedbackMode::kNone;
+  harness::ThreadGroup threads;
   for (std::size_t r = 0; r < config.receivers; ++r) {
-    threads.emplace_back([&, r] {
-      {
-        session::EndpointConfig net_cfg;
-        net_cfg.feedback = session::FeedbackMode::kNone;
-        Receiver rx(config.stream, net_cfg, inst);
-        net::UdpTransport& sock = *rx_transports[r];
-        std::array<wire::Frame, net::UdpTransport::kMaxBatch> frames;
-        std::array<net::UdpTransport::PeerIndex, net::UdpTransport::kMaxBatch>
-            peers;
-        std::uint64_t next_open = 0;
-        while (!rx.all_finalized() && !abort.load(std::memory_order_relaxed)) {
-          const Instant now = now_us();
-          while (next_open < total) {
-            const std::uint64_t stamped =
-                births[next_open].load(std::memory_order_acquire);
-            if (stamped == 0) break;
-            rx.open_block(next_open, stamped - 1);
-            ++next_open;
-          }
-          const std::size_t n = sock.recv_batch(frames, peers);
-          for (std::size_t i = 0; i < n; ++i) {
-            rx.ingest(0, frames[i].bytes(), now);
-          }
-          rx.finalize_due(now);
-          if (n == 0) {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-          }
+    threads.spawn([&, r] {
+      Receiver rx(config.stream, net_cfg, inst);
+      harness::BatchIo io;
+      std::uint64_t next_open = 0;
+      while (!rx.all_finalized() && !abort.load(std::memory_order_relaxed)) {
+        const Instant now = now_us();
+        while (next_open < total) {
+          const std::uint64_t stamped =
+              births[next_open].load(std::memory_order_acquire);
+          if (stamped == 0) break;
+          rx.open_block(next_open, stamped - 1);
+          ++next_open;
         }
-        outcomes[r].stream = rx.stream_stats();
-        outcomes[r].session = rx.endpoint().stats();
-        // `rx` and `frames` die here, before the arena reclaim below.
+        const std::size_t n = io.receive(
+            *net->clients[r], [&](harness::PeerIndex, wire::Frame& frame) {
+              rx.ingest(0, frame.bytes(), now);
+            });
+        rx.finalize_due(now);
+        if (n == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
-      // Worker-thread hygiene (same contract as the sharded data plane):
-      // blocks cached in this thread's free lists would otherwise leak
-      // with its TLS.
-      WordArena::reclaim_local();
+      const std::lock_guard<std::mutex> lock(fold_mutex);
+      fold_receiver(out, rx);
     });
   }
 
   // The calling thread is the sender.
-  session::EndpointConfig net_cfg;
-  net_cfg.feedback = session::FeedbackMode::kNone;
   session::Endpoint source(net_cfg, std::make_unique<store::ContentStore>());
   telemetry::SessionInstruments sender_instruments;
   sender_instruments.recorder = config.recorder;
@@ -359,8 +308,10 @@ StreamRunStats run_udp_stream(const UdpStreamConfig& config) {
                                  : derive_pushes(stream) * config.receivers;
   Rng rng(config.seed);
   Rng loss_rng(config.seed ^ 0x6a09e667f3bcc909ULL);
-  std::array<wire::Frame, net::UdpTransport::kMaxBatch> out_frames;
-  std::array<net::UdpTransport::TxItem, net::UdpTransport::kMaxBatch> items;
+  harness::BatchIo io;
+  const auto keep = [&](session::PeerId, const wire::Frame&) {
+    return !loss_rng.chance(config.loss_rate);  // emulated loss
+  };
   // Wall-clock safety stop: the whole schedule plus two seconds.
   const Instant horizon = src.birth_of(total) + stream.deadline_ticks +
                           stream.ticks_per_block + 2'000'000;
@@ -378,39 +329,17 @@ StreamRunStats run_udp_stream(const UdpStreamConfig& config) {
           static_cast<std::uint64_t>(config.receivers)));
       if (!src.push_symbol(peer, rng)) break;
     }
-    bool sent_any = false;
-    for (;;) {
-      std::size_t n = 0;
-      session::PeerId dest = 0;
-      while (n < out_frames.size() && source.poll_transmit(dest, out_frames[n])) {
-        if (loss_rng.chance(config.loss_rate)) continue;  // emulated loss
-        items[n] = net::UdpTransport::TxItem{dest, out_frames[n].bytes()};
-        ++n;
-      }
-      if (n == 0) break;
-      tx->send_batch({items.data(), n});
-      sent_any = true;
+    if (io.transmit(*net->services[0], source, keep) == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    if (!sent_any) std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  for (std::thread& th : threads) th.join();
+  threads.join();
 
-  StreamRunStats out;
   out.receivers = config.receivers;
   out.blocks = src.blocks_emitted();
   out.source_frames = source.stats().frames_sent;
   out.duration_ticks = now;
-  out.every_receiver_decoded = true;
-  for (const RxOutcome& rx : outcomes) {
-    out.completed += rx.stream.blocks_completed;
-    out.missed += rx.stream.deadline_misses;
-    out.verify_failures += rx.stream.verify_failures;
-    out.goodput_bytes += rx.stream.goodput_bytes;
-    out.expired_frames += rx.session.expired_frames;
-    out.every_receiver_decoded =
-        out.every_receiver_decoded && rx.stream.blocks_completed > 0;
-  }
-  fill_latency_quantiles(out, registry, kLatency);
+  harness::latency_quantiles(registry, kLatency).store_into(out);
   return out;
 }
 

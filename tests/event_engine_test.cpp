@@ -7,6 +7,9 @@
 namespace ltnc::dissem {
 namespace {
 
+using session::FeedbackMode;
+using session::Scheme;
+
 SimConfig small_config(std::size_t nodes = 24, std::size_t k = 32) {
   SimConfig cfg;
   cfg.num_nodes = nodes;

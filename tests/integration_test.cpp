@@ -10,6 +10,9 @@
 namespace ltnc::dissem {
 namespace {
 
+using session::Scheme;
+using session::scheme_name;
+
 SimConfig config(std::size_t nodes, std::size_t k) {
   SimConfig cfg;
   cfg.num_nodes = nodes;

@@ -18,6 +18,9 @@
 namespace ltnc::dissem {
 namespace {
 
+using session::FeedbackMode;
+using session::Scheme;
+
 struct GoldenCase {
   const char* name;
   Scheme scheme;

@@ -7,6 +7,10 @@
 namespace ltnc::dissem {
 namespace {
 
+using session::FeedbackMode;
+using session::Scheme;
+using session::scheme_name;
+
 SimConfig small_config(std::size_t nodes = 24, std::size_t k = 32) {
   SimConfig cfg;
   cfg.num_nodes = nodes;

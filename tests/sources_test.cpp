@@ -10,6 +10,8 @@
 namespace ltnc::dissem {
 namespace {
 
+using session::Scheme;
+
 constexpr std::size_t kK = 32;
 constexpr std::size_t kM = 16;
 constexpr std::uint64_t kSeed = 9;
