@@ -6,7 +6,10 @@
 // / decode loops — which create and destroy packets at a furious rate but
 // over a tiny set of distinct sizes (k-bit code vectors, m-byte payloads)
 // — run allocation-free at steady state. Blocks are 64-byte aligned for
-// the SIMD kernels and zero-filled on lease.
+// the SIMD kernels and zero-filled on lease, unless the caller asks for
+// an uninitialized lease because it overwrites every byte it reads (wire
+// frames: an MTU receive buffer then only becomes resident where
+// datagrams actually land).
 //
 // The default arena is thread-local; the main thread's instance is
 // intentionally leaked at process exit (static-destruction-order safety:
@@ -102,6 +105,17 @@ class WordBuf {
   /// Leases `words` zero-filled limbs from the thread-local arena.
   explicit WordBuf(std::size_t words)
       : ptr_(WordArena::local().lease(words)), words_(words) {}
+
+  /// Leases `words` limbs without the zero-fill: the contents are
+  /// unspecified until the caller writes them. For storage whose readers
+  /// only ever see bytes a writer put there (wire::Frame); BitVector and
+  /// Payload keep the zero-filled lease their tail invariants rely on.
+  static WordBuf uninitialized(std::size_t words) {
+    WordBuf buf;
+    buf.ptr_ = WordArena::local().lease_uninitialized(words);
+    buf.words_ = words;
+    return buf;
+  }
 
   WordBuf(const WordBuf& other)
       : ptr_(WordArena::local().lease_uninitialized(other.words_)),

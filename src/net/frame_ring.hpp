@@ -10,7 +10,11 @@
 // stretched across two threads. (A buffer may therefore be *released* on a
 // thread other than the one that leased it; WordArena explicitly permits
 // that — see arena.hpp — and the threaded tests assert lease balance
-// summed across the participating threads.)
+// summed across the participating threads.) The ring's buffers are as
+// large as the frames pushed into them, so a producer holding oversized
+// buffers pushes a copy: ShardedEndpoint::route_frame copies each datagram
+// into a frame of its own size, and the MTU-sized socket receive buffers
+// stay on the I/O thread.
 //
 // Concurrency contract: exactly one thread calls try_push (the producer),
 // exactly one thread calls try_pop (the consumer), forever. Under that

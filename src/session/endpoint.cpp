@@ -263,7 +263,10 @@ bool Endpoint::recently_expired(ContentId content) const {
 }
 
 Endpoint::Convo& Endpoint::convo(PeerId peer, ContentId content) {
-  Peer& p = peer_state(peer);
+  return convo(peer_state(peer), content);
+}
+
+Endpoint::Convo& Endpoint::convo(Peer& p, ContentId content) {
   for (Convo& cv : p.convos) {
     if (cv.content == content) return cv;
   }
@@ -452,7 +455,8 @@ void Endpoint::begin_offer(PeerId peer, ContentId content, bool generationed,
                                now_, content));
     return;
   }
-  Convo& cv = convo(peer, content);
+  Peer& p = peer_state(peer);
+  Convo& cv = convo(p, content);
   LTNC_TELEMETRY(if (!cv.ever_offered) {
     cv.ever_offered = true;
     cv.first_offer_at = now_;
@@ -466,6 +470,7 @@ void Endpoint::begin_offer(PeerId peer, ContentId content, bool generationed,
   cv.out.state = Outbound::State::kAwaitFeedback;
   cv.out.retries = 0;
   cv.out.deadline = now_ + cfg_.response_timeout;
+  p.next_deadline = std::min(p.next_deadline, cv.out.deadline);
   cv.out.offered_at = now_;
   queue_advertise(peer, content, cv.out);
   ++stats_.advertises_sent;
@@ -593,7 +598,8 @@ Endpoint::Event Endpoint::on_advertise(PeerId peer,
   ++stats_.advertises_received;
   LTNC_TELEMETRY(trace_event(telemetry_, telemetry::TracePoint::kAdvertiseRecv,
                              now_, rx_adv_.content));
-  Convo& cv = convo(peer, rx_adv_.content);
+  Peer& p = peer_state(peer);
+  Convo& cv = convo(p, rx_adv_.content);
   if (cv.in.awaiting_data && cv.in.generation == rx_adv_.generation &&
       cv.in.coeffs == rx_coeffs_) {
     // Replay of an advertise we already answered (our proceed was lost,
@@ -623,6 +629,7 @@ Endpoint::Event Endpoint::on_advertise(PeerId peer,
   cv.in.generation = rx_adv_.generation;
   cv.in.awaiting_data = true;
   cv.in.deadline = now_ + cfg_.response_timeout;
+  p.next_deadline = std::min(p.next_deadline, cv.in.deadline);
   queue_feedback(peer, rx_adv_.content, wire::MessageType::kProceed, token);
   ++stats_.proceeds_sent;
   LTNC_TELEMETRY(trace_event(telemetry_, telemetry::TracePoint::kProceedSent,
@@ -858,7 +865,11 @@ void Endpoint::tick(Instant now) {
                            static_cast<double>(now - now_));
   }
   now_ = now;
+  // Walk in peers_ order (retransmit, abandon and timeout order is part
+  // of the trajectory), skipping peers with nothing due yet.
   for (Peer& p : peers_) {
+    if (p.next_deadline > now) continue;
+    Instant next = kNever;
     for (Convo& cv : p.convos) {
       if (cv.out.state == Outbound::State::kAwaitFeedback &&
           now >= cv.out.deadline) {
@@ -879,7 +890,12 @@ void Endpoint::tick(Instant now) {
         cv.in.awaiting_data = false;  // the payload never came
         ++stats_.timeouts;
       }
+      if (cv.out.state == Outbound::State::kAwaitFeedback) {
+        next = std::min(next, cv.out.deadline);
+      }
+      if (cv.in.awaiting_data) next = std::min(next, cv.in.deadline);
     }
+    p.next_deadline = next;
   }
   for (std::size_t i = 0; i < announces_.size(); ++i) {
     Announce& a = announces_[i];

@@ -415,9 +415,15 @@ class Endpoint {
     Instant first_offer_at = 0;  ///< sender-side completion-latency anchor
   };
 
+  static constexpr Instant kNever = ~Instant{0};
+
   struct Peer {
     PeerId id = 0;              ///< owning peer (slots are not id-indexed)
     std::vector<Convo> convos;  ///< tiny; linear scan by content id
+    /// Lower bound on the earliest armed deadline among `convos`: lowered
+    /// wherever a deadline is set, recomputed whenever tick walks the
+    /// peer. tick skips the peer while the bound lies in the future.
+    Instant next_deadline = kNever;
   };
 
   /// Per-content completion-announcement state (receiver side of a file
@@ -441,6 +447,7 @@ class Endpoint {
   void rehash_index(std::size_t buckets);
   void remove_peer_slot(std::uint32_t slot);
   Convo& convo(PeerId peer, ContentId content);
+  Convo& convo(Peer& p, ContentId content);
   Convo* find_convo(PeerId peer, ContentId content);
   const Convo* find_convo(PeerId peer, ContentId content) const;
   /// Closes an outgoing conversation and releases the pending packet's

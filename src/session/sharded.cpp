@@ -70,7 +70,7 @@ ShardedEndpoint::ShardedEndpoint(const ShardedConfig& config, ShardApp& app)
 
 ShardedEndpoint::~ShardedEndpoint() { stop(); }
 
-bool ShardedEndpoint::route_frame(PeerId peer, wire::Frame& frame) {
+bool ShardedEndpoint::route_frame(PeerId peer, const wire::Frame& frame) {
   ContentId content = 0;
   // A frame too mangled to peek still routes (by peer alone) so the
   // owning shard's hardened decode can count it as malformed — the I/O
@@ -79,7 +79,11 @@ bool ShardedEndpoint::route_frame(PeerId peer, wire::Frame& frame) {
     content = 0;
   }
   const std::uint32_t s = shard_of(peer, content, num_shards());
-  if (!shards_[s]->in.try_push(peer, frame)) {
+  // Copy at the datagram's own size into a frame that circulates with
+  // the rings; the caller's (typically MTU-sized) receive buffer never
+  // leaves this thread.
+  route_scratch_.assign(frame.bytes());
+  if (!shards_[s]->in.try_push(peer, route_scratch_)) {
     inbound_drops_.fetch_add(1, std::memory_order_relaxed);
     LTNC_TELEMETRY(if (drops_counter_ != nullptr) drops_counter_->add(1));
     return false;

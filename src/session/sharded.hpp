@@ -11,9 +11,12 @@
 //                                                             ▼ Endpoint
 //   send_batch ◀ poll_transmit ◀ [out ring s] ◀ poll_transmit ┘
 //
-// Frames cross the rings by ownership transfer (see frame_ring.hpp), so a
-// datagram is touched by exactly one memcpy on the way in (socket →
-// frame) and zero on the way between threads. The shard hash keeps every
+// Frames cross the rings by ownership transfer (see frame_ring.hpp).
+// route_frame first copies each inbound datagram, at its own size, into a
+// frame that circulates with the rings: one memcpy of bytes that were
+// just received. The I/O thread's MTU-sized receive buffers therefore
+// never leave it, and shard arenas only ever hold frame-sized blocks.
+// Nothing is copied between threads. The shard hash keeps every
 // frame of one conversation on one shard — the per-(peer, content)
 // handshake state machine never needs a lock — and the Endpoint inside a
 // shard is the *same* sans-I/O class the single-threaded paths use; the
@@ -127,13 +130,14 @@ class ShardedEndpoint {
 
   // --- I/O surface (exactly one driving thread) -----------------------------
 
-  /// Routes one inbound frame to its conversation's shard (ownership
-  /// transfer: `frame` gets a recycled spare back). The content id is
-  /// peeked straight off the wire bytes; a frame too mangled to peek is
-  /// routed by peer alone so the owning shard can count it malformed.
-  /// False = that shard's inbound ring is full; the frame is dropped
-  /// (datagram semantics) and counted.
-  bool route_frame(PeerId peer, wire::Frame& frame);
+  /// Routes one inbound frame to its conversation's shard. The bytes are
+  /// copied into a ring frame of their own size; `frame` keeps its
+  /// capacity and contents, so a receive buffer can be reused as is. The
+  /// content id is peeked straight off the wire bytes; a frame too
+  /// mangled to peek is routed by peer alone so the owning shard can
+  /// count it malformed. False = that shard's inbound ring is full; the
+  /// frame is dropped (datagram semantics) and counted.
+  bool route_frame(PeerId peer, const wire::Frame& frame);
 
   /// Pops shard `shard`'s next outbound frame (ownership transfer) and
   /// its destination peer. False when that shard has nothing pending.
@@ -209,6 +213,10 @@ class ShardedEndpoint {
   bool stopped_ = false;
   std::atomic<std::uint64_t> inbound_drops_{0};
   telemetry::Counter* drops_counter_ = nullptr;  ///< I/O-thread side
+  /// I/O-thread side: route_frame's copy target. A successful push swaps
+  /// it into the ring and takes the slot's spare back, so the buffers it
+  /// holds are ring buffers, sized by the frames that crossed.
+  wire::Frame route_scratch_;
 };
 
 }  // namespace ltnc::session

@@ -79,8 +79,9 @@ struct Reader {
 
 std::size_t dense_size(std::size_t bits) { return (bits + 7) / 8; }
 
-std::size_t sparse_size(const BitVector& coeffs) {
-  const std::size_t degree = coeffs.popcount();
+/// Sparse encoding size of `coeffs`, whose weight the caller already
+/// counted.
+std::size_t sparse_size(const BitVector& coeffs, std::size_t degree) {
   std::size_t size = varint_size(degree);
   std::size_t prev = 0;
   bool first = true;
@@ -107,8 +108,8 @@ void write_dense(Writer& w, const BitVector& coeffs) {
   }
 }
 
-void write_sparse(Writer& w, const BitVector& coeffs) {
-  w.put_varint(coeffs.popcount());
+void write_sparse(Writer& w, const BitVector& coeffs, std::size_t degree) {
+  w.put_varint(degree);
   std::size_t prev = 0;
   bool first = true;
   coeffs.for_each_set([&](std::size_t i) {
@@ -163,6 +164,26 @@ DecodeStatus read_sparse(Reader& r, BitVector& coeffs) {
     coeffs.set(static_cast<std::size_t>(index));
   }
   return DecodeStatus::kOk;
+}
+
+/// How one frame encodes its code vector, decided once per frame and
+/// handed to both the size and the write step: the winning encoding, the
+/// vector's weight (the sparse degree varint) and the encoded bytes.
+struct CoeffPlan {
+  CoeffEncoding enc;
+  std::size_t degree;
+  std::size_t bytes;
+};
+
+CoeffPlan plan_coeffs(const BitVector& coeffs) {
+  const std::size_t dense = dense_size(coeffs.size());
+  const std::size_t degree = coeffs.popcount();
+  // Each sparse index costs ≥ 1 byte on top of the degree varint, so a
+  // degree at or past the bitmap size can never win — skip the exact walk.
+  if (degree >= dense) return {CoeffEncoding::kDense, degree, dense};
+  const std::size_t sparse = sparse_size(coeffs, degree);
+  if (sparse < dense) return {CoeffEncoding::kSparse, degree, sparse};
+  return {CoeffEncoding::kDense, degree, dense};
 }
 
 // -- shared message scaffolding --------------------------------------------
@@ -232,38 +253,64 @@ DecodeStatus read_head(Reader& r, std::uint8_t allowed, MessageType& type,
 /// frame is exactly header + this prefix, which is what keeps the
 /// advertise/data size identity from ever drifting.
 std::size_t coeff_prefix_size(const BitVector& coeffs,
-                              std::size_t payload_bytes, CoeffEncoding enc) {
-  return varint_size(coeffs.size()) + varint_size(payload_bytes) +
-         coeff_encoded_size(coeffs, enc);
+                              std::size_t payload_bytes,
+                              const CoeffPlan& plan) {
+  return varint_size(coeffs.size()) + varint_size(payload_bytes) + plan.bytes;
 }
 
 /// Writes the shared advertise prefix (the serializer twin of
 /// read_coeff_prefix below).
 void write_coeff_prefix(Writer& w, const BitVector& coeffs,
-                        std::size_t payload_bytes, CoeffEncoding enc) {
+                        std::size_t payload_bytes, const CoeffPlan& plan) {
   w.put_varint(coeffs.size());
   w.put_varint(payload_bytes);
-  if (enc == CoeffEncoding::kDense) {
+  if (plan.enc == CoeffEncoding::kDense) {
     write_dense(w, coeffs);
   } else {
-    write_sparse(w, coeffs);
+    write_sparse(w, coeffs, plan.degree);
   }
 }
 
-std::size_t packet_body_size(const CodedPacket& packet, CoeffEncoding enc) {
-  return coeff_prefix_size(packet.coeffs, packet.payload.size_bytes(), enc) +
+std::size_t packet_body_size(const CodedPacket& packet,
+                             const CoeffPlan& plan) {
+  return coeff_prefix_size(packet.coeffs, packet.payload.size_bytes(), plan) +
          packet.payload.size_bytes();
 }
 
 void write_packet_body(Writer& w, const CodedPacket& packet,
-                       CoeffEncoding enc) {
-  write_coeff_prefix(w, packet.coeffs, packet.payload.size_bytes(), enc);
+                       const CoeffPlan& plan) {
+  write_coeff_prefix(w, packet.coeffs, packet.payload.size_bytes(), plan);
   const std::size_t m = packet.payload.size_bytes();
   if constexpr (std::endian::native == std::endian::little) {
     w.put_bytes(packet.payload.byte_view().data(), m);
   } else {
     for (std::size_t b = 0; b < m; ++b) w.put_u8(packet.payload.byte(b));
   }
+}
+
+// Frame sizes under a given plan: the serialized_size* functions and the
+// serializers share these, so a serializer plans its code vector once.
+
+std::size_t packet_frame_size(ContentId content, const CodedPacket& packet,
+                              const CoeffPlan& plan) {
+  return header_size() + content_id_size(content) +
+         packet_body_size(packet, plan);
+}
+
+std::size_t generation_frame_size(ContentId content, std::uint32_t generation,
+                                  const CodedPacket& packet,
+                                  const CoeffPlan& plan) {
+  return packet_frame_size(content, packet, plan) + varint_size(generation);
+}
+
+std::size_t advertise_frame_size(const AdvertiseInfo& info,
+                                 const BitVector& coeffs,
+                                 const CoeffPlan& plan) {
+  // serialized_size() minus the payload span, via the shared prefix
+  // arithmetic, so the advertise/packet size identity can never drift.
+  return header_size() + content_id_size(info.content) +
+         (info.has_generation ? varint_size(info.generation) : 0) +
+         coeff_prefix_size(coeffs, info.payload_bytes, plan);
 }
 
 /// Reads the shared advertise prefix of a packet body: dimensions and the
@@ -343,17 +390,13 @@ const char* status_name(DecodeStatus status) {
 }
 
 std::size_t coeff_encoded_size(const BitVector& coeffs, CoeffEncoding enc) {
-  return enc == CoeffEncoding::kDense ? dense_size(coeffs.size())
-                                      : sparse_size(coeffs);
+  return enc == CoeffEncoding::kDense
+             ? dense_size(coeffs.size())
+             : sparse_size(coeffs, coeffs.popcount());
 }
 
 CoeffEncoding choose_coeff_encoding(const BitVector& coeffs) {
-  const std::size_t dense = dense_size(coeffs.size());
-  // Each sparse index costs ≥ 1 byte on top of the degree varint, so a
-  // degree at or past the bitmap size can never win — skip the exact walk.
-  if (coeffs.popcount() >= dense) return CoeffEncoding::kDense;
-  return sparse_size(coeffs) < dense ? CoeffEncoding::kSparse
-                                     : CoeffEncoding::kDense;
+  return plan_coeffs(coeffs).enc;
 }
 
 std::size_t content_id_size(ContentId content) {
@@ -365,8 +408,7 @@ std::size_t serialized_size(const CodedPacket& packet) {
 }
 
 std::size_t serialized_size(ContentId content, const CodedPacket& packet) {
-  return header_size() + content_id_size(content) +
-         packet_body_size(packet, choose_coeff_encoding(packet.coeffs));
+  return packet_frame_size(content, packet, plan_coeffs(packet.coeffs));
 }
 
 std::size_t serialized_size_generation(std::uint32_t generation,
@@ -377,8 +419,8 @@ std::size_t serialized_size_generation(std::uint32_t generation,
 std::size_t serialized_size_generation(ContentId content,
                                        std::uint32_t generation,
                                        const CodedPacket& packet) {
-  return header_size() + content_id_size(content) + varint_size(generation) +
-         packet_body_size(packet, choose_coeff_encoding(packet.coeffs));
+  return generation_frame_size(content, generation, packet,
+                               plan_coeffs(packet.coeffs));
 }
 
 std::size_t serialized_size_feedback(std::uint64_t token) {
@@ -397,18 +439,14 @@ std::size_t serialized_size_cc(std::span<const std::uint32_t> leaders) {
 
 std::size_t serialized_size_advertise(const BitVector& coeffs,
                                       std::size_t payload_bytes) {
-  // serialized_size() minus the payload span, via the shared prefix
-  // arithmetic, so the advertise/packet size identity can never drift.
-  return header_size() +
-         coeff_prefix_size(coeffs, payload_bytes,
-                           choose_coeff_encoding(coeffs));
+  AdvertiseInfo info;
+  info.payload_bytes = payload_bytes;
+  return serialized_size_advertise(info, coeffs);
 }
 
 std::size_t serialized_size_advertise(const AdvertiseInfo& info,
                                       const BitVector& coeffs) {
-  return serialized_size_advertise(coeffs, info.payload_bytes) +
-         content_id_size(info.content) +
-         (info.has_generation ? varint_size(info.generation) : 0);
+  return advertise_frame_size(info, coeffs, plan_coeffs(coeffs));
 }
 
 void serialize(const CodedPacket& packet, Frame& out) {
@@ -416,13 +454,13 @@ void serialize(const CodedPacket& packet, Frame& out) {
 }
 
 void serialize(ContentId content, const CodedPacket& packet, Frame& out) {
-  const CoeffEncoding enc = choose_coeff_encoding(packet.coeffs);
-  out.resize(serialized_size(content, packet));
+  const CoeffPlan plan = plan_coeffs(packet.coeffs);
+  out.resize(packet_frame_size(content, packet, plan));
   Writer w{out.data()};
   write_head(w, MessageType::kCodedPacket,
-             frame_flags(static_cast<std::uint8_t>(enc), content, false),
+             frame_flags(static_cast<std::uint8_t>(plan.enc), content, false),
              content);
-  write_packet_body(w, packet, enc);
+  write_packet_body(w, packet, plan);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 
@@ -433,14 +471,14 @@ void serialize_generation(std::uint32_t generation, const CodedPacket& packet,
 
 void serialize_generation(ContentId content, std::uint32_t generation,
                           const CodedPacket& packet, Frame& out) {
-  const CoeffEncoding enc = choose_coeff_encoding(packet.coeffs);
-  out.resize(serialized_size_generation(content, generation, packet));
+  const CoeffPlan plan = plan_coeffs(packet.coeffs);
+  out.resize(generation_frame_size(content, generation, packet, plan));
   Writer w{out.data()};
   write_head(w, MessageType::kGenerationPacket,
-             frame_flags(static_cast<std::uint8_t>(enc), content, false),
+             frame_flags(static_cast<std::uint8_t>(plan.enc), content, false),
              content);
   w.put_varint(generation);
-  write_packet_body(w, packet, enc);
+  write_packet_body(w, packet, plan);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 
@@ -484,15 +522,15 @@ void serialize_advertise(const BitVector& coeffs, std::size_t payload_bytes,
 
 void serialize_advertise(const AdvertiseInfo& info, const BitVector& coeffs,
                          Frame& out) {
-  const CoeffEncoding enc = choose_coeff_encoding(coeffs);
-  out.resize(serialized_size_advertise(info, coeffs));
+  const CoeffPlan plan = plan_coeffs(coeffs);
+  out.resize(advertise_frame_size(info, coeffs, plan));
   Writer w{out.data()};
   write_head(w, MessageType::kAdvertise,
-             frame_flags(static_cast<std::uint8_t>(enc), info.content,
+             frame_flags(static_cast<std::uint8_t>(plan.enc), info.content,
                          info.has_generation),
              info.content);
   if (info.has_generation) w.put_varint(info.generation);
-  write_coeff_prefix(w, coeffs, info.payload_bytes, enc);
+  write_coeff_prefix(w, coeffs, info.payload_bytes, plan);
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 

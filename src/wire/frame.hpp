@@ -6,6 +6,11 @@
 // global heap at steady state — the same discipline BitVector and Payload
 // follow. Capacity is rounded up to whole 64-bit limbs; `size()` tracks the
 // logical byte length of the frame.
+//
+// Growth is uninitialized: bytes past the old size are unspecified until
+// written, and every writer (the serializers, recvmmsg/recvfrom, assign,
+// append) overwrites exactly what it exposes. An MTU-sized receive buffer
+// therefore costs resident memory only where datagrams actually land.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +26,17 @@ namespace ltnc::wire {
 class Frame {
  public:
   Frame() = default;
-  explicit Frame(std::size_t bytes) : words_((bytes + 7) / 8), size_(bytes) {}
+  /// A frame of `bytes` unspecified bytes (callers overwrite them).
+  explicit Frame(std::size_t bytes)
+      : words_(WordBuf::uninitialized((bytes + 7) / 8)), size_(bytes) {}
 
-  Frame(const Frame&) = default;
-  Frame& operator=(const Frame&) = default;
+  // Copies carry the logical bytes only: capacity past size() holds
+  // nothing anyone wrote, and copying it would make it resident.
+  Frame(const Frame& other) { assign(other.bytes()); }
+  Frame& operator=(const Frame& other) {
+    if (this != &other) assign(other.bytes());
+    return *this;
+  }
 
   // The implicit move would null the WordBuf but leave size_ stale,
   // breaking the size_ ≤ capacity() invariant on the moved-from frame —
@@ -66,12 +78,12 @@ class Frame {
   }
 
   /// Ensures capacity for `bytes` without changing size. Growth re-leases
-  /// from the arena (power-of-two classes recycle instantly at steady
-  /// state) and preserves the current contents.
+  /// from the arena without zero-filling (power-of-two classes recycle
+  /// instantly at steady state) and preserves the current contents.
   void reserve(std::size_t bytes) {
     if (bytes <= capacity()) return;
     LTNC_DCHECK(size_ <= capacity());
-    WordBuf bigger((bytes + 7) / 8);
+    WordBuf bigger = WordBuf::uninitialized((bytes + 7) / 8);
     if (size_ != 0) std::memcpy(bigger.data(), words_.data(), size_);
     words_ = std::move(bigger);
   }

@@ -282,6 +282,92 @@ TEST(SessionEndpoint, InboundConversationTimesOutWhenDataNeverArrives) {
   EXPECT_EQ(receiver->stats().timeouts, 1u);
 }
 
+TEST(SessionEndpoint, TickServesAPeerArmedAfterAnEarlierTickSkippedIt) {
+  lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
+  Endpoint sender(config(), nullptr);
+  auto receiver = make_ltnc_endpoint();
+  Rng rng(10);
+  const Instant timeout = sender.config().response_timeout;
+  PeerId dst = 0;
+  wire::Frame frame;
+
+  // Peer 3 completes a handshake, so it holds a conversation with
+  // nothing armed; the next ticks walk it once, then skip it.
+  sender.offer_packet(3, source.encode(rng));
+  shuttle(sender, 0, *receiver);
+  shuttle(*receiver, 3, sender);
+  shuttle(sender, 0, *receiver);
+  EXPECT_EQ(receiver->stats().data_delivered, 1u);
+  for (Instant t = 1; t <= 3 * timeout; ++t) {
+    sender.tick(t);
+    receiver->tick(t);
+  }
+  EXPECT_FALSE(sender.has_pending_transmit());
+  EXPECT_EQ(sender.stats().advertise_retransmits, 0u);
+
+  // Re-arm both sides of the skipped conversation and lose the proceed:
+  // the sender must retransmit and the receiver must time out, exactly
+  // one deadline later.
+  const Instant armed_at = 3 * timeout;
+  sender.offer_packet(3, source.encode(rng));
+  ASSERT_TRUE(sender.poll_transmit(dst, frame));
+  EXPECT_EQ(receiver->handle_frame(0, frame.bytes()), Event::kProceeding);
+  PeerId answer_dst = 0;
+  ASSERT_TRUE(receiver->poll_transmit(answer_dst, frame));  // lost proceed
+
+  sender.tick(armed_at + timeout - 1);
+  receiver->tick(armed_at + timeout - 1);
+  EXPECT_FALSE(sender.has_pending_transmit());
+  EXPECT_EQ(receiver->stats().timeouts, 0u);
+
+  sender.tick(armed_at + timeout);
+  receiver->tick(armed_at + timeout);
+  ASSERT_TRUE(sender.poll_transmit(dst, frame));
+  EXPECT_EQ(dst, 3u);
+  EXPECT_EQ(sender.stats().advertise_retransmits, 1u);
+  EXPECT_EQ(receiver->stats().timeouts, 1u);
+}
+
+TEST(SessionEndpoint, StaggeredRetransmitsFireInFirstContactOrder) {
+  lt::LtEncoder source(lt::make_native_payloads(kK, kM, kContentSeed));
+  Endpoint sender(config(), nullptr);
+  Rng rng(11);
+  const EndpointConfig& cfg = sender.config();
+  ASSERT_EQ(cfg.response_timeout, 4u);
+  ASSERT_EQ(cfg.max_retries, 3u);
+
+  // First contact 12, 10, 11 (not id order), one tick apart: deadlines
+  // 4, 5 and 6. Every advertise is lost.
+  const PeerId order[] = {12, 10, 11};
+  for (Instant t = 0; t < 3; ++t) {
+    sender.tick(t);
+    sender.offer_packet(order[t], source.encode(rng));
+  }
+  PeerId dst = 0;
+  wire::Frame frame;
+  while (sender.poll_transmit(dst, frame)) {
+  }
+
+  // Ticks every response_timeout: 12 fires alone first, then the others
+  // catch up and all three share deadlines, always in first-contact order,
+  // until each has spent max_retries and is abandoned.
+  const std::vector<std::vector<PeerId>> expected = {
+      {12}, {12, 10, 11}, {12, 10, 11}, {10, 11}, {}};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    sender.tick((i + 1) * cfg.response_timeout);
+    std::vector<PeerId> fired;
+    while (sender.poll_transmit(dst, frame)) {
+      wire::MessageType type{};
+      ASSERT_EQ(wire::peek_type(frame.bytes(), type), wire::DecodeStatus::kOk);
+      EXPECT_EQ(type, wire::MessageType::kAdvertise);
+      fired.push_back(dst);
+    }
+    EXPECT_EQ(fired, expected[i]) << "tick " << (i + 1) * cfg.response_timeout;
+  }
+  EXPECT_EQ(sender.stats().advertise_retransmits, 3 * cfg.max_retries);
+  EXPECT_EQ(sender.stats().transfers_abandoned, 3u);
+}
+
 // --- hardening -------------------------------------------------------------
 
 TEST(SessionEndpoint, MalformedAndForeignFramesAreAbsorbed) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -231,6 +232,78 @@ TEST(ShardedEndpoint, SingleShardMatchesSingleThreadedSemantics) {
   EXPECT_EQ(total.data_delivered, 2 * kK);
   EXPECT_GE(total.completions_sent, 2u);
   EXPECT_EQ(sharded.report(0).frames_in, 2 * kK);
+}
+
+TEST(ShardedEndpoint, RouteCopiesAndLeavesTheReceiveBufferInPlace) {
+  // A datagram received into an MTU-sized buffer crosses the ring as a
+  // copy of its own size: the caller's buffer keeps its storage and its
+  // bytes (it never leaves the I/O thread), the shard still decodes the
+  // same image, and the fleet's arena tallies still balance.
+  constexpr std::size_t kMtu = 65507;
+  const WordArena::Stats main_before = WordArena::local().stats();
+  std::int64_t shard_leases = 0;
+  std::int64_t shard_releases = 0;
+  std::int64_t shard_live = 0;
+  {
+    SinkApp app(1);
+    ShardedConfig cfg;
+    cfg.num_shards = 2;
+    ShardedEndpoint sharded(cfg, app);
+
+    wire::Frame rx;
+    rx.reserve(kMtu);
+    const std::size_t capacity = rx.capacity();
+    const std::uint8_t* storage = rx.data();
+    wire::Frame image;
+    for (std::size_t i = 0; i < kK; ++i) {
+      wire::serialize(ContentId{1},
+                      CodedPacket::native(kK, i,
+                                          Payload::deterministic(kM, 8, i)),
+                      image);
+      rx.assign(image.bytes());  // the datagram lands in the MTU buffer
+      ASSERT_TRUE(sharded.route_frame(3, rx));
+      EXPECT_EQ(rx.capacity(), capacity);
+      EXPECT_EQ(rx.data(), storage);
+      EXPECT_TRUE(std::equal(rx.bytes().begin(), rx.bytes().end(),
+                             image.bytes().begin(), image.bytes().end()));
+    }
+
+    // The completion ack proves the shard decoded the routed copies.
+    wire::Frame ack;
+    bool acked = false;
+    const auto deadline = std::chrono::steady_clock::now() + 30s;
+    while (!acked) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      PeerId dst = 0;
+      for (std::uint32_t s = 0; s < sharded.num_shards() && !acked; ++s) {
+        acked = sharded.poll_transmit(s, dst, ack);
+      }
+      if (!acked) std::this_thread::yield();
+    }
+    sharded.stop();
+
+    const SessionStats total = sharded.aggregate_stats();
+    EXPECT_EQ(total.data_delivered, kK);
+    EXPECT_EQ(total.malformed_frames, 0u);
+    EXPECT_GE(total.completions_sent, 1u);
+    EXPECT_EQ(sharded.inbound_drops(), 0u);
+    for (std::uint32_t s = 0; s < sharded.num_shards(); ++s) {
+      const auto& report = sharded.report(s);
+      shard_leases += static_cast<std::int64_t>(report.arena.leases);
+      shard_releases += static_cast<std::int64_t>(report.arena.releases);
+      shard_live += static_cast<std::int64_t>(report.arena.live_words);
+    }
+  }
+
+  const WordArena::Stats main_after = WordArena::local().stats();
+  EXPECT_EQ(shard_leases + static_cast<std::int64_t>(main_after.leases -
+                                                     main_before.leases),
+            shard_releases + static_cast<std::int64_t>(main_after.releases -
+                                                       main_before.releases));
+  EXPECT_EQ(shard_live + static_cast<std::int64_t>(main_after.live_words -
+                                                   main_before.live_words),
+            0)
+      << "frame storage escaped the fleet";
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Wire codec: round-trip identity for every message type (property-tested
 // over random dimensions/degrees), adaptive code-vector encoding choice,
-// size-function agreement, and the strict v1 rejection policy.
+// size-function agreement, the strict v1 rejection policy, and the
+// uninitialized-growth contract of Frame (every serializer overwrites all
+// it exposes; growth keeps the existing prefix).
 #include "wire/codec.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +10,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -482,6 +487,118 @@ TEST(WireCodec, RejectsEmptyFrame) {
   MessageType type{};
   EXPECT_EQ(deserialize({}, decoded), DecodeStatus::kTruncated);
   EXPECT_EQ(peek_type({}, type), DecodeStatus::kTruncated);
+}
+
+// -- uninitialized frame growth ---------------------------------------------
+
+/// A frame grown to `bytes` whose whole capacity holds `fill`: what a
+/// recycled receive buffer or arena block may look like before a write.
+Frame pregrown(std::size_t bytes, std::uint8_t fill) {
+  Frame frame;
+  frame.resize(bytes);
+  std::memset(frame.data(), fill, frame.capacity());
+  return frame;
+}
+
+TEST(WireCodec, SerializersOverwriteEveryExposedByte) {
+  Rng rng(113);
+  const CodedPacket sparse(random_coeffs(4096, 3, rng),
+                           random_payload(61, rng));
+  const CodedPacket dense(random_coeffs(64, 40, rng), random_payload(19, rng));
+  ASSERT_EQ(choose_coeff_encoding(sparse.coeffs), CoeffEncoding::kSparse);
+  ASSERT_EQ(choose_coeff_encoding(dense.coeffs), CoeffEncoding::kDense);
+  const std::vector<std::uint32_t> leaders = {0, 5, 300, 70000};
+
+  for (const ContentId cid : {ContentId{0}, ContentId{0x3FFF}}) {
+    AdvertiseInfo plain;
+    plain.content = cid;
+    plain.payload_bytes = sparse.payload.size_bytes();
+    AdvertiseInfo with_gen = plain;
+    with_gen.has_generation = true;
+    with_gen.generation = 9;
+    const std::vector<std::pair<const char*, std::function<void(Frame&)>>>
+        writers = {
+            {"coded sparse", [&](Frame& f) { serialize(cid, sparse, f); }},
+            {"coded dense", [&](Frame& f) { serialize(cid, dense, f); }},
+            {"generation sparse",
+             [&](Frame& f) { serialize_generation(cid, 3, sparse, f); }},
+            {"generation dense",
+             [&](Frame& f) { serialize_generation(cid, 200, dense, f); }},
+            {"advertise",
+             [&](Frame& f) { serialize_advertise(plain, sparse.coeffs, f); }},
+            {"advertise dense",
+             [&](Frame& f) { serialize_advertise(plain, dense.coeffs, f); }},
+            {"advertise generation",
+             [&](Frame& f) {
+               serialize_advertise(with_gen, sparse.coeffs, f);
+             }},
+            {"abort",
+             [&](Frame& f) {
+               serialize_feedback(cid, MessageType::kAbort, 7, f);
+             }},
+            {"ack",
+             [&](Frame& f) {
+               serialize_feedback(cid, MessageType::kAck, 1u << 20, f);
+             }},
+            {"proceed",
+             [&](Frame& f) {
+               serialize_feedback(cid, MessageType::kProceed, 0, f);
+             }},
+            {"cc", [&](Frame& f) { serialize_cc(cid, leaders, f); }},
+            {"cc empty", [&](Frame& f) { serialize_cc(cid, {}, f); }},
+        };
+    for (const auto& [name, write] : writers) {
+      Frame zeroed = pregrown(4096, 0x00);
+      write(zeroed);
+      Frame fresh;
+      write(fresh);
+      Frame dirty = pregrown(4096, 0xA5);
+      write(dirty);
+      // A small dirty frame grows uninitialized under the serializer.
+      Frame grown = pregrown(5, 0xA5);
+      write(grown);
+      const std::vector<std::uint8_t> want(zeroed.bytes().begin(),
+                                           zeroed.bytes().end());
+      for (const Frame* f : {&fresh, &dirty, &grown}) {
+        EXPECT_EQ(std::vector<std::uint8_t>(f->bytes().begin(),
+                                            f->bytes().end()),
+                  want)
+            << name << " cid=" << cid;
+      }
+    }
+  }
+}
+
+TEST(WireFrame, GrowthKeepsTheExistingPrefix) {
+  std::vector<std::uint8_t> prefix(100);
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    prefix[i] = static_cast<std::uint8_t>(i * 37 + 1);
+  }
+  Frame frame;
+  frame.assign(prefix);
+
+  frame.reserve(65507);  // the UDP MTU: a receive buffer's growth
+  EXPECT_GE(frame.capacity(), 65507u);
+  EXPECT_EQ(frame.size(), prefix.size());
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), frame.data()));
+
+  Frame resized;
+  resized.assign(prefix);
+  resized.resize(70000);
+  EXPECT_EQ(resized.size(), 70000u);
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), resized.data()));
+
+  Frame appended;
+  appended.assign({prefix.data(), 3});
+  appended.append(prefix.data() + 3, prefix.size() - 3);  // grows
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(),
+                         appended.bytes().begin(), appended.bytes().end()));
+
+  // A copy carries the logical bytes, not the grown capacity.
+  const Frame copy = frame;
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), copy.bytes().begin(),
+                         copy.bytes().end()));
+  EXPECT_LT(copy.capacity(), frame.capacity());
 }
 
 }  // namespace
