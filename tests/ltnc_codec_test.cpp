@@ -168,6 +168,66 @@ TEST(LtncCodec, ChainOfRecodersStillDecodes) {
   EXPECT_LT(sink_received, 6 * k);
 }
 
+TEST(LtncCodec, RelayRecodeTrajectoryIsPinned) {
+  // Exact trajectory of a seeded source → a → b → c relay: the code
+  // vectors and payload bytes of the first recoded packets, plus the
+  // nodes' receive outcomes. Any change to RNG draws, bucket order, heap
+  // order or payload folding moves the digest; op counters are not part
+  // of it. b also answers c's cc array (smart construction, §III-C.2).
+  constexpr std::size_t k = 128;
+  constexpr std::size_t m = 100;  // not a multiple of 8: tail word counts
+  LtncConfig cfg;
+  cfg.k = k;
+  cfg.payload_bytes = m;
+  lt::LtEncoder enc(lt::make_native_payloads(k, m, 21));
+  LtncCodec a(cfg);
+  LtncCodec b(cfg);
+  LtncCodec c(cfg);
+  Rng rng(22);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&](std::uint64_t w) {
+    digest = (digest ^ w) * 0x100000001b3ULL;
+  };
+  const auto mix_packet = [&](const CodedPacket& pkt) {
+    for (std::size_t w = 0; w < pkt.coeffs.word_count(); ++w) {
+      mix(pkt.coeffs.words()[w]);
+    }
+    for (std::size_t w = 0; w < pkt.payload.word_count(); ++w) {
+      mix(pkt.payload.words()[w]);
+    }
+  };
+  const auto forward = [&](LtncCodec& to, const CodedPacket& pkt) {
+    if (rng.chance(0.1)) return;  // lossy link
+    if (to.would_reject(pkt.coeffs)) return;
+    mix(static_cast<std::uint64_t>(to.receive(pkt)));
+  };
+  std::size_t recoded = 0;
+  for (int step = 0; step < 2000 && recoded < 1000; ++step) {
+    forward(a, enc.encode(rng));
+    if (const auto p = a.recode(rng)) {
+      mix_packet(*p);
+      ++recoded;
+      forward(b, *p);
+    }
+    const auto q = step % 3 == 0 ? b.recode_for(c.component_leaders(), rng)
+                                 : b.recode(rng);
+    if (q.has_value()) {
+      mix_packet(*q);
+      ++recoded;
+      forward(c, *q);
+    }
+  }
+  ASSERT_EQ(recoded, 1000u);
+  for (const LtncCodec* n : {&a, &b, &c}) {
+    mix(n->decoded_count());
+    mix(n->stored_count());
+    mix(n->stats().stored);
+    mix(n->stats().dropped_during_decode);
+    mix(n->stats().substitutions);
+  }
+  EXPECT_EQ(digest, 0x9a24f83548251a87ULL);
+}
+
 TEST(LtncCodec, RecodedDegreesTrackRobustSoliton) {
   // §III-B: the degrees of fresh packets recoded from a *rich* store
   // should follow the Robust Soliton distribution closely.
