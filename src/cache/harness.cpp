@@ -191,9 +191,11 @@ void place_all(EdgeCache& cache, const Catalog& catalog, CacheRunStats* out,
 
 bool verify_decode(const lt::BpDecoder& decoder, std::size_t k,
                    std::size_t payload_bytes, std::uint64_t content_seed) {
+  if (decoder.payload_bytes() != payload_bytes) return false;
   for (std::size_t i = 0; i < k; ++i) {
-    if (decoder.native_payload(i) !=
-        Payload::deterministic(payload_bytes, content_seed, i)) {
+    if (!matches_deterministic(decoder.native_payload(
+                                   static_cast<NativeIndex>(i)),
+                               content_seed, i)) {
       return false;
     }
   }

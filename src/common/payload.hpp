@@ -9,9 +9,11 @@
 // the dispatched SIMD kernels.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/arena.hpp"
 #include "common/check.hpp"
@@ -78,5 +80,46 @@ class Payload {
   std::size_t bytes_;
   WordBuf words_;
 };
+
+/// A pending GF(2) sum: collects source payloads and folds them into a
+/// destination in one pass (Payload::xor_accumulate). Sources are held by
+/// pointer, so each must stay alive and unchanged until apply(). A source
+/// added twice cancels, as in GF(2). Reusable: keep one as scratch and the
+/// pointer list stops allocating once it has seen its largest sum.
+class PayloadFold {
+ public:
+  void add(const Payload& source) { sources_.push_back(&source); }
+  /// add(), except that a source already in the fold is taken out
+  /// instead (x ⊕ x = 0): the result is the same and the pass reads
+  /// two payloads fewer.
+  void toggle(const Payload& source) {
+    const auto it = std::find(sources_.begin(), sources_.end(), &source);
+    if (it == sources_.end()) {
+      sources_.push_back(&source);
+    } else {
+      *it = sources_.back();
+      sources_.pop_back();
+    }
+  }
+  std::size_t size() const { return sources_.size(); }
+  void clear() { sources_.clear(); }
+
+  /// dst ^= every collected source, then clears. Returns the word ops
+  /// charged (see Payload::xor_accumulate).
+  std::size_t apply(Payload& dst) {
+    const std::size_t ops = dst.xor_accumulate(sources_.data(), size());
+    sources_.clear();
+    return ops;
+  }
+
+ private:
+  std::vector<const Payload*> sources_;
+};
+
+/// True iff `payload` equals Payload::deterministic(payload.size_bytes(),
+/// seed, index), compared word by word as the words are generated — the
+/// allocation-free check behind every finish_and_verify.
+bool matches_deterministic(const Payload& payload, std::uint64_t seed,
+                           std::size_t index);
 
 }  // namespace ltnc

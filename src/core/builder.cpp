@@ -11,23 +11,22 @@ PacketBuilder::PacketBuilder(const lt::BpDecoder& store,
                              const DegreeIndex& index)
     : store_(store), index_(index) {}
 
-std::size_t PacketBuilder::try_add(CodedPacket& z, std::size_t dz,
+std::size_t PacketBuilder::try_add(BitVector& z, std::size_t dz,
                                    std::size_t target, const BitVector& coeffs,
-                                   const Payload& payload,
                                    OpCounters& ops) const {
-  const std::size_t combined = z.coeffs.popcount_xor(coeffs);
-  ops.control_word_ops += z.coeffs.word_count();
+  const std::size_t combined = z.popcount_xor(coeffs);
+  ops.control_word_ops += z.word_count();
   // Algorithm 1, line 11: accept iff d(z) < d(z ⊕ y) ≤ d.
   if (dz < combined && combined <= target) {
-    ops.control_word_ops += z.coeffs.xor_with(coeffs);
-    ops.data_word_ops += z.payload.xor_with(payload);
+    ops.control_word_ops += z.xor_with(coeffs);
     return combined;
   }
   return dz;
 }
 
 std::optional<CodedPacket> PacketBuilder::build(std::size_t target, Rng& rng,
-                                                OpCounters& ops) {
+                                                OpCounters& ops,
+                                                PayloadFold& payload) {
   LTNC_CHECK_MSG(target >= 1, "target degree must be positive");
   const std::size_t k = store_.k();
   CodedPacket z{BitVector(k), Payload(store_.payload_bytes())};
@@ -45,8 +44,9 @@ std::optional<CodedPacket> PacketBuilder::build(std::size_t target, Rng& rng,
       std::swap(scratch[t], scratch[j]);
       const PacketId id = scratch[t];
       ops.control_steps += 1;
-      dz = try_add(z, dz, target, store_.packet_coeffs(id),
-                   store_.packet_payload(id), ops);
+      const std::size_t before = dz;
+      dz = try_add(z.coeffs, dz, target, store_.packet_coeffs(id), ops);
+      if (dz != before) payload.add(store_.packet_payload(id));
     }
   }
 
@@ -63,7 +63,7 @@ std::optional<CodedPacket> PacketBuilder::build(std::size_t target, Rng& rng,
       // Adding native x raises the degree iff x is absent from z.
       if (!z.coeffs.test(x)) {
         z.coeffs.set(x);
-        ops.data_word_ops += z.payload.xor_with(store_.native_payload(x));
+        payload.add(store_.native_payload(x));
         ++dz;
       }
     }

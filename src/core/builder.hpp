@@ -43,18 +43,20 @@ class PacketBuilder {
   PacketBuilder(const lt::BpDecoder& store, const DegreeIndex& index);
 
   /// Greedily assembles a fresh packet of degree ≤ target (Algorithm 1).
-  /// Returns nullopt only when nothing at all could be combined.
+  /// Returns nullopt only when nothing at all could be combined. The
+  /// returned payload is zero; the payloads whose XOR it should be are
+  /// added to `payload`, for the caller to fold once it is done editing
+  /// the packet (the sources stay valid until the store changes).
   std::optional<CodedPacket> build(std::size_t target, Rng& rng,
-                                   OpCounters& ops);
+                                   OpCounters& ops, PayloadFold& payload);
 
   const BuildStats& stats() const { return stats_; }
 
  private:
-  /// Tries z ⊕= candidate under Algorithm 1's acceptance rule; returns the
-  /// updated degree of z.
-  std::size_t try_add(CodedPacket& z, std::size_t dz, std::size_t target,
-                      const BitVector& coeffs, const Payload& payload,
-                      OpCounters& ops) const;
+  /// Tries z ⊕= candidate's code vector under Algorithm 1's acceptance
+  /// rule; returns the updated degree of z (unchanged if rejected).
+  std::size_t try_add(BitVector& z, std::size_t dz, std::size_t target,
+                      const BitVector& coeffs, OpCounters& ops) const;
 
   const lt::BpDecoder& store_;
   const DegreeIndex& index_;

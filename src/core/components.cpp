@@ -14,12 +14,15 @@ ComponentTracker::ComponentTracker(std::size_t k, std::size_t payload_bytes,
       decoded_value_(std::move(decoded_value)),
       leader_(k),
       size_(k, 1),
+      undecoded_(k, 1),
+      next_member_(k),
       parent_(k, -1),
       edge_payload_(k, Payload(0)),
       heaps_(k) {
   LTNC_CHECK_MSG(k > 0, "code length must be positive");
   for (std::size_t x = 0; x < k; ++x) {
     leader_[x] = static_cast<std::uint32_t>(x) + 1;  // singleton components
+    next_member_[x] = static_cast<NativeIndex>(x);
     heaps_[x].push_back(HeapEntry{0, static_cast<NativeIndex>(x)});
   }
 }
@@ -47,8 +50,7 @@ ComponentTracker::Heap& ComponentTracker::heap_for_leader(
   return leader == 0 ? decoded_heap_ : heaps_[leader - 1];
 }
 
-std::pair<NativeIndex, Payload> ComponentTracker::root_and_payload(
-    NativeIndex x, OpCounters& ops) const {
+NativeIndex ComponentTracker::find(NativeIndex x, OpCounters& ops) const {
   // First pass: collect the path x → root (reusable scratch — path
   // compression keeps it short, steady state keeps it allocation-free).
   std::vector<NativeIndex>& chain = chain_scratch_;
@@ -60,16 +62,17 @@ std::pair<NativeIndex, Payload> ComponentTracker::root_and_payload(
     ops.control_steps += 1;
   }
   const NativeIndex root = v;
-  // Second pass, nearest-to-root first: accumulate each node's payload to
-  // the root and re-parent it directly onto the root (path compression).
-  Payload cum(payload_bytes_);
+  // Second pass, nearest-to-root first: each node's parent already hangs
+  // off the root, so folding the parent's edge in makes the node's edge
+  // payload node ⊕ root.
   for (std::size_t idx = chain.size(); idx-- > 0;) {
     const NativeIndex node = chain[idx];
-    ops.data_word_ops += cum.xor_with(edge_payload_[node]);
+    const auto parent = static_cast<NativeIndex>(parent_[node]);
+    if (parent == root) continue;
+    ops.data_word_ops += edge_payload_[node].xor_with(edge_payload_[parent]);
     parent_[node] = static_cast<std::int32_t>(root);
-    edge_payload_[node] = cum;
   }
-  return {root, std::move(cum)};
+  return root;
 }
 
 void ComponentTracker::add_edge(NativeIndex a, NativeIndex b,
@@ -77,23 +80,26 @@ void ComponentTracker::add_edge(NativeIndex a, NativeIndex b,
   LTNC_CHECK_MSG(a < k_ && b < k_ && a != b, "invalid edge endpoints");
   LTNC_CHECK_MSG(leader_[a] != 0 && leader_[b] != 0,
                  "degree-2 edges must connect undecoded natives");
-  auto [ra, pa] = root_and_payload(a, ops);
-  auto [rb, pb] = root_and_payload(b, ops);
+  NativeIndex ra = find(a, ops);
+  NativeIndex rb = find(b, ops);
   if (ra == rb) return;  // already connected — nothing new to learn
 
   // Union by size: keep the larger tree's root.
   if (size_[ra] < size_[rb]) {
     std::swap(ra, rb);
-    std::swap(pa, pb);
+    std::swap(a, b);
   }
   // Attach rb under ra. payload(rb ⊕ ra) = payload(b ⊕ rb) ⊕ payload(a ⊕ b)
   //                                        ⊕ payload(a ⊕ ra).
-  Payload edge = std::move(pb);
-  ops.data_word_ops += edge.xor_with(xor_payload);
-  ops.data_word_ops += edge.xor_with(pa);
+  Payload& edge = edge_payload_[rb];
+  edge = xor_payload;
+  if (a != ra) fold_scratch_.add(edge_payload_[a]);
+  if (b != rb) fold_scratch_.add(edge_payload_[b]);
+  ops.data_word_ops += fold_scratch_.apply(edge);
   parent_[rb] = static_cast<std::int32_t>(ra);
-  edge_payload_[rb] = std::move(edge);
   size_[ra] += size_[rb];
+  undecoded_[ra] += undecoded_[rb];
+  std::swap(next_member_[ra], next_member_[rb]);  // splice the member rings
 
   // Relabel the absorbed component and merge its heap (small-to-large).
   const std::uint32_t old_leader = rb + 1;
@@ -118,25 +124,51 @@ void ComponentTracker::mark_decoded(NativeIndex x,
   LTNC_CHECK_MSG(leader_[x] != 0, "native decoded twice");
   leader_[x] = 0;
   ++decoded_size_;
-  heap_push(decoded_heap_, HeapEntry{current_occurrences, x});
+  heap_push(decoded_heap_, HeapEntry{heap_key(current_occurrences), x});
   // The stale entry in the old component's heap is discarded lazily.
+
+  // Once a whole tree is decoded no lookup walks it again (pairs of
+  // decoded natives materialise from their values), so its edge payloads
+  // go back to the arena. BP decodes a tree in one ripple: every edge is
+  // a degree-2 packet still in the store.
+  NativeIndex root = x;
+  while (parent_[root] >= 0) root = static_cast<NativeIndex>(parent_[root]);
+  if (--undecoded_[root] != 0) return;
+  NativeIndex v = root;
+  do {
+    edge_payload_[v] = Payload(0);
+    v = next_member_[v];
+  } while (v != root);
 }
 
-Payload ComponentTracker::materialize(NativeIndex a, NativeIndex b,
-                                      OpCounters& ops) const {
+void ComponentTracker::materialize_into(PayloadFold& dst, NativeIndex a,
+                                        NativeIndex b,
+                                        OpCounters& ops) const {
   LTNC_CHECK_MSG(connected(a, b), "materialize requires connected natives");
   LTNC_CHECK_MSG(a != b, "materialize of identical natives");
   if (leader_[a] == 0) {
     // Both decoded: x ⊕ x' straight from decoded values.
-    Payload p = decoded_value_(a);
-    ops.data_word_ops += p.xor_with(decoded_value_(b));
-    return p;
+    // A refined packet often holds a itself as a decoded native, so
+    // toggling cancels it rather than reading it twice.
+    dst.toggle(decoded_value_(a));
+    dst.toggle(decoded_value_(b));
+    return;
   }
-  auto [ra, pa] = root_and_payload(a, ops);
-  auto [rb, pb] = root_and_payload(b, ops);
-  LTNC_DCHECK(ra == rb);
-  ops.data_word_ops += pa.xor_with(pb);
-  return std::move(pa);
+  // After find(), a and b hang directly off the root (or are it), and
+  // their edges stay put until the next union.
+  const NativeIndex root = find(a, ops);
+  [[maybe_unused]] const NativeIndex root_b = find(b, ops);
+  LTNC_DCHECK(root_b == root);
+  if (a != root) dst.toggle(edge_payload_[a]);
+  if (b != root) dst.toggle(edge_payload_[b]);
+}
+
+Payload ComponentTracker::materialize(NativeIndex a, NativeIndex b,
+                                      OpCounters& ops) const {
+  Payload p(payload_bytes_);
+  materialize_into(fold_scratch_, a, b, ops);
+  ops.data_word_ops += fold_scratch_.apply(p);
+  return p;
 }
 
 std::optional<NativeIndex> ComponentTracker::pick_substitute(
@@ -151,6 +183,7 @@ std::optional<NativeIndex> ComponentTracker::pick_substitute(
   // member so refine loops don't allocate.
   Heap& parked = parked_scratch_;
   parked.clear();
+  const std::uint32_t limit = heap_key(occurrence_limit);
   std::optional<NativeIndex> result;
   while (!heap.empty()) {
     ops.control_steps += 1;
@@ -159,15 +192,16 @@ std::optional<NativeIndex> ComponentTracker::pick_substitute(
       heap_pop(heap);  // native moved to another component (e.g. decoded)
       continue;
     }
-    if (top.occurrences != occurrences[top.native]) {
+    const std::uint32_t current = heap_key(occurrences[top.native]);
+    if (top.occurrences != current) {
       // Stale count: occurrence counts only grow, so re-inserting with the
       // current count restores heap order.
       HeapEntry e = heap_pop(heap);
-      e.occurrences = occurrences[e.native];
+      e.occurrences = current;
       heap_push(heap, e);
       continue;
     }
-    if (top.occurrences >= occurrence_limit) break;  // min ≥ limit: give up
+    if (top.occurrences >= limit) break;  // min ≥ limit: give up
     if (top.native == x || excluded.test(top.native)) {
       parked.push_back(heap_pop(heap));
       continue;

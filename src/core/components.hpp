@@ -4,10 +4,12 @@
 // using only decoded natives and available degree-2 packets. The paper
 // stores a leader-based representation cc(·): cc(x) = 0 when x is decoded,
 // and cc(x) = cc(x') iff x ∼ x'. We extend it with:
-//   * a spanning forest whose edges carry the payload of the degree-2
-//     packet that connected them, so the substitution packet x ⊕ x' can be
-//     *materialised* (the refinement step needs its bytes, not just its
-//     existence) — with path compression so repeated queries stay cheap;
+//   * a spanning forest whose edges carry the payload of x ⊕ parent(x), so
+//     the substitution packet x ⊕ x' can be *materialised* (the refinement
+//     step needs its bytes, not just its existence). Path compression runs
+//     in place (edge(x) ^= edge(parent)), so after a lookup x ⊕ x' is just
+//     edge(x) ⊕ edge(x'): materialize_into() hands those two payloads to
+//     the caller's fold instead of building a temporary;
 //   * one lazy min-occurrence heap per component, so the refinement step's
 //     "least frequent equivalent native" query is O(log k) amortised
 //     (occurrence counts only grow, so stale heap entries are simply
@@ -44,6 +46,8 @@ class ComponentTracker {
 
   /// Native x was decoded: cc(x) becomes 0 and x joins the decoded
   /// component, whose pairs materialise directly from decoded values.
+  /// When the last native of x's spanning tree is decoded, the tree's edge
+  /// payloads are released.
   void mark_decoded(NativeIndex x, std::uint64_t current_occurrences);
 
   /// Leader-based representation: 0 = decoded, otherwise root native + 1.
@@ -57,8 +61,15 @@ class ComponentTracker {
   /// the smart construction algorithm (§III-C.2).
   const std::vector<std::uint32_t>& leaders() const { return leader_; }
 
-  /// Payload of a ⊕ b. Requires connected(a, b). Logically const: path
-  /// compression only reorganises the cached spanning forest.
+  /// Adds the payloads whose XOR is a ⊕ b to `dst` (at most two). Requires
+  /// connected(a, b). The sources stay valid and unchanged until the next
+  /// add_edge(). Logically const: path compression only reorganises the
+  /// cached spanning forest.
+  void materialize_into(PayloadFold& dst, NativeIndex a, NativeIndex b,
+                        OpCounters& ops) const;
+
+  /// Payload of a ⊕ b as a fresh packet payload (materialize_into folded
+  /// into zero).
   Payload materialize(NativeIndex a, NativeIndex b, OpCounters& ops) const;
 
   /// Least-occurring native x' with x' ∼ x, occurrences(x') <
@@ -78,20 +89,28 @@ class ComponentTracker {
   std::vector<NativeIndex> members_of(NativeIndex x) const;
 
  private:
+  /// 8 bytes: the occurrence count is kept as a 32-bit key, saturated at
+  /// kMaxKey. Below that every comparison — and hence the heap-operation
+  /// sequence — is the one full 64-bit counts would give; at and above it
+  /// counts tie, and the stale-entry test stays exact in key space.
   struct HeapEntry {
-    std::uint64_t occurrences;
+    std::uint32_t occurrences;
     NativeIndex native;
   };
+  static constexpr std::uint32_t kMaxKey = UINT32_MAX;
+  static std::uint32_t heap_key(std::uint64_t occurrences) {
+    return occurrences < kMaxKey ? static_cast<std::uint32_t>(occurrences)
+                                 : kMaxKey;
+  }
   /// Binary min-heap over HeapEntry ordered by occurrence count.
   using Heap = std::vector<HeapEntry>;
 
   static void heap_push(Heap& heap, HeapEntry e);
   static HeapEntry heap_pop(Heap& heap);
 
-  /// Root of x's tree plus the payload of x ⊕ root, with two-pass path
-  /// compression.
-  std::pair<NativeIndex, Payload> root_and_payload(NativeIndex x,
-                                                   OpCounters& ops) const;
+  /// Root of x's tree. Compresses the path in place: every node on it is
+  /// re-parented onto the root with its edge payload made relative to it.
+  NativeIndex find(NativeIndex x, OpCounters& ops) const;
 
   Heap& heap_for_leader(std::uint32_t leader) const;
 
@@ -101,6 +120,8 @@ class ComponentTracker {
 
   std::vector<std::uint32_t> leader_;  ///< 0 = decoded, else root + 1
   std::vector<std::uint32_t> size_;    ///< live member count, valid at roots
+  std::vector<std::uint32_t> undecoded_;  ///< undecoded members, at roots
+  std::vector<NativeIndex> next_member_;  ///< circular member list per tree
   // The spanning forest and the per-component heaps are amortisation
   // caches: queries reorganise them (path compression, lazy heap refresh)
   // without changing any observable state, hence mutable.
@@ -108,8 +129,9 @@ class ComponentTracker {
   mutable std::vector<Payload> edge_payload_;  ///< payload of (x ⊕ parent[x])
   mutable std::vector<Heap> heaps_;            ///< per root native
   mutable Heap decoded_heap_;                  ///< component 0
-  mutable std::vector<NativeIndex> chain_scratch_;  ///< root_and_payload path
+  mutable std::vector<NativeIndex> chain_scratch_;  ///< find() path
   mutable Heap parked_scratch_;  ///< pick_substitute exclusion parking
+  mutable PayloadFold fold_scratch_;  ///< add_edge / materialize sums
   std::size_t decoded_size_ = 0;
 };
 

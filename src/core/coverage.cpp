@@ -6,18 +6,15 @@
 
 namespace ltnc::core {
 
-CoverageTracker::CoverageTracker(std::size_t k, Rescan rescan)
-    : rescan_(std::move(rescan)),
-      min_deg_(k, kNone),
+CoverageTracker::CoverageTracker(std::size_t k)
+    : min_deg_(k, kNone),
       min_cnt_(k, 0),
       decoded_(k, 0),
       hist_(k) {
   LTNC_CHECK_MSG(k > 0, "code length must be positive");
 }
 
-void CoverageTracker::hist_move(NativeIndex x, std::uint32_t from,
-                                std::uint32_t to) {
-  (void)x;
+void CoverageTracker::hist_move(std::uint32_t from, std::uint32_t to) {
   if (from != kNone) hist_.add(from - 1, -1);
   if (to != kNone) hist_.add(to - 1, +1);
 }
@@ -26,7 +23,7 @@ void CoverageTracker::lower_min(NativeIndex x, std::size_t degree) {
   if (decoded_[x]) return;  // decoded natives live outside the histogram
   const auto d = static_cast<std::uint32_t>(degree);
   if (min_deg_[x] == kNone || d < min_deg_[x]) {
-    hist_move(x, min_deg_[x], d);
+    hist_move(min_deg_[x], d);
     min_deg_[x] = d;
     min_cnt_[x] = 1;
   } else if (d == min_deg_[x]) {
@@ -34,29 +31,19 @@ void CoverageTracker::lower_min(NativeIndex x, std::size_t degree) {
   }
 }
 
-void CoverageTracker::drop_contribution(NativeIndex x, std::size_t degree) {
-  if (decoded_[x]) return;
+bool CoverageTracker::drop_contribution(NativeIndex x, std::size_t degree) {
+  if (decoded_[x]) return false;
   const auto d = static_cast<std::uint32_t>(degree);
-  if (d != min_deg_[x]) return;  // a non-minimal packet left: irrelevant
+  if (d != min_deg_[x]) return false;  // a non-minimal packet left
   LTNC_DCHECK(min_cnt_[x] > 0);
-  if (--min_cnt_[x] == 0) rescan_native(x);
+  return --min_cnt_[x] == 0;
 }
 
-void CoverageTracker::rescan_native(NativeIndex x) {
-  std::uint32_t best = kNone;
-  std::uint32_t cnt = 0;
-  rescan_(x, [&](std::size_t degree) {
-    const auto d = static_cast<std::uint32_t>(degree);
-    if (best == kNone || d < best) {
-      best = d;
-      cnt = 1;
-    } else if (d == best) {
-      ++cnt;
-    }
-  });
-  hist_move(x, min_deg_[x], best);
-  min_deg_[x] = best;
-  min_cnt_[x] = cnt;
+void CoverageTracker::set_min(NativeIndex x, std::uint32_t degree,
+                              std::uint32_t count) {
+  hist_move(min_deg_[x], degree);
+  min_deg_[x] = degree;
+  min_cnt_[x] = count;
 }
 
 void CoverageTracker::on_packet_added(const BitVector& coeffs,
@@ -77,7 +64,7 @@ void CoverageTracker::on_packet_degree_changed(const BitVector& coeffs,
     if (od == min_deg_[x]) {
       // This packet was (one of) the minimum holders and just got lighter:
       // it becomes the unique new minimum at od−1.
-      hist_move(x, min_deg_[x], nd);
+      hist_move(min_deg_[x], nd);
       min_deg_[x] = nd;
       min_cnt_[x] = 1;
     } else if (nd == min_deg_[x]) {
@@ -86,18 +73,11 @@ void CoverageTracker::on_packet_degree_changed(const BitVector& coeffs,
   });
 }
 
-void CoverageTracker::on_packet_removed(const BitVector& coeffs,
-                                        std::size_t registered_degree) {
-  coeffs.for_each_set([&](std::size_t i) {
-    drop_contribution(static_cast<NativeIndex>(i), registered_degree);
-  });
-}
-
 void CoverageTracker::on_native_decoded(NativeIndex x) {
   LTNC_CHECK_MSG(!decoded_[x], "native decoded twice");
   decoded_[x] = 1;
   ++decoded_count_;
-  hist_move(x, min_deg_[x], kNone);
+  hist_move(min_deg_[x], kNone);
   min_deg_[x] = kNone;
   min_cnt_[x] = 0;
 }

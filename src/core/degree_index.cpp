@@ -10,6 +10,26 @@ DegreeIndex::DegreeIndex(std::size_t k)
 }
 
 void DegreeIndex::insert(PacketId id, std::size_t degree) {
+  link(id, degree);
+  if (degree > max_degree_) max_degree_ = degree;
+}
+
+void DegreeIndex::remove(PacketId id, std::size_t degree) {
+  unlink(id, degree);
+  lower_max_degree();
+}
+
+void DegreeIndex::change(PacketId id, std::size_t old_degree,
+                         std::size_t new_degree) {
+  // Link before lowering the cached maximum, so a packet that leaves the
+  // top bucket for the one below stops the walk right there.
+  unlink(id, old_degree);
+  link(id, new_degree);
+  if (new_degree > max_degree_) max_degree_ = new_degree;
+  lower_max_degree();
+}
+
+void DegreeIndex::link(PacketId id, std::size_t degree) {
   LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.size(),
                  "degree out of range");
   if (id >= pos_.size()) pos_.resize(id + 1, 0);
@@ -19,7 +39,7 @@ void DegreeIndex::insert(PacketId id, std::size_t degree) {
   ++total_;
 }
 
-void DegreeIndex::remove(PacketId id, std::size_t degree) {
+void DegreeIndex::unlink(PacketId id, std::size_t degree) {
   LTNC_CHECK_MSG(degree >= 1 && degree < buckets_.size(),
                  "degree out of range");
   auto& bucket = buckets_[degree];
@@ -34,10 +54,10 @@ void DegreeIndex::remove(PacketId id, std::size_t degree) {
   --total_;
 }
 
-void DegreeIndex::change(PacketId id, std::size_t old_degree,
-                         std::size_t new_degree) {
-  remove(id, old_degree);
-  insert(id, new_degree);
+void DegreeIndex::lower_max_degree() {
+  // Degrees only fall under belief propagation, so this walk over emptied
+  // buckets is paid for by the inserts that raised the maximum.
+  while (max_degree_ > 0 && buckets_[max_degree_].empty()) --max_degree_;
 }
 
 const std::vector<PacketId>& DegreeIndex::bucket(std::size_t degree) const {
@@ -52,11 +72,5 @@ std::uint64_t DegreeIndex::weighted_sum_up_to(std::size_t d) const {
   return static_cast<std::uint64_t>(weighted_.prefix_sum(d - 1));
 }
 
-std::size_t DegreeIndex::max_degree() const {
-  for (std::size_t d = buckets_.size(); d-- > 1;) {
-    if (!buckets_[d].empty()) return d;
-  }
-  return 0;
-}
 
 }  // namespace ltnc::core

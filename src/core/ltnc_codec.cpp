@@ -11,14 +11,7 @@ LtncCodec::LtncCodec(const LtncConfig& config)
       soliton_(config.k, config.soliton),
       decoder_(config.k, config.payload_bytes, this),
       index_(config.k),
-      coverage_(config.k,
-                // Rescan: enumerate live stored packets containing a native.
-                [this](NativeIndex x,
-                       const std::function<void(std::size_t)>& visit) {
-                  decoder_.for_each_packet_containing(x, [&](PacketId id) {
-                    visit(decoder_.packet_degree(id));
-                  });
-                }),
+      coverage_(config.k),
       components_(config.k, config.payload_bytes,
                   [this](NativeIndex x) -> const Payload& {
                     return decoder_.native_payload(x);
@@ -83,47 +76,54 @@ bool LtncCodec::should_drop(PacketId id, const BitVector& coeffs,
   return redundant;
 }
 
-void LtncCodec::maybe_merge_components(const BitVector& coeffs,
-                                       const Payload& payload,
+void LtncCodec::maybe_merge_components(PacketId id, const BitVector& coeffs,
                                        std::size_t degree) {
   if (degree != 2) return;
   // A degree-2 packet x ⊕ x' became available: connect its endpoints
   // (paper Fig. 5 — triggered on reception and on BP reduction alike).
+  // Only a new edge needs the packet's bytes, so only then is its lazily
+  // reduced payload brought up to date.
   const std::size_t a = coeffs.first_set();
   const std::size_t b = coeffs.next_set(a + 1);
   LTNC_DCHECK(b != BitVector::npos);
-  components_.add_edge(static_cast<NativeIndex>(a),
-                       static_cast<NativeIndex>(b), payload,
+  const auto x = static_cast<NativeIndex>(a);
+  const auto y = static_cast<NativeIndex>(b);
+  if (components_.connected(x, y)) return;
+  components_.add_edge(x, y, decoder_.packet_payload(id),
                        decoder_.mutable_ops());
 }
 
 void LtncCodec::on_stored(PacketId id, const BitVector& coeffs,
-                          std::size_t degree, const Payload& payload) {
+                          std::size_t degree) {
   index_.insert(id, degree);
   coverage_.on_packet_added(coeffs, degree);
   redundancy_.on_stored(id, coeffs, degree);
-  maybe_merge_components(coeffs, payload, degree);
+  maybe_merge_components(id, coeffs, degree);
 }
 
 void LtncCodec::on_degree_changed(PacketId id, const BitVector& coeffs,
                                   std::size_t old_degree,
-                                  std::size_t new_degree,
-                                  const Payload& payload) {
+                                  std::size_t new_degree) {
   index_.change(id, old_degree, new_degree);
   coverage_.on_packet_degree_changed(coeffs, old_degree, new_degree);
   redundancy_.on_degree_changed(id, coeffs, old_degree, new_degree);
-  maybe_merge_components(coeffs, payload, new_degree);
+  maybe_merge_components(id, coeffs, new_degree);
 }
 
 void LtncCodec::on_removed(PacketId id, const BitVector& coeffs,
                            std::size_t degree) {
   if (degree >= 1) index_.remove(id, degree);
-  coverage_.on_packet_removed(coeffs, degree);
+  // Rescan: the live stored packets still containing a native whose last
+  // minimum-degree holder just left.
+  coverage_.on_packet_removed(
+      coeffs, degree, [this](NativeIndex x, auto&& visit) {
+        decoder_.for_each_packet_containing(
+            x, [&](PacketId p) { visit(decoder_.packet_degree(p)); });
+      });
   redundancy_.on_removed(id);
 }
 
-void LtncCodec::on_native_decoded(NativeIndex index, const Payload& value) {
-  (void)value;
+void LtncCodec::on_native_decoded(NativeIndex index) {
   components_.mark_decoded(index, occurrences_.count(index));
   coverage_.on_native_decoded(index);
 }
@@ -140,14 +140,19 @@ std::optional<CodedPacket> LtncCodec::recode(Rng& rng) {
     ++stats_.recode_failures;
     return std::nullopt;
   }
-  auto packet = builder_.build(*degree, rng, recode_ops_);
+  // Build and refine edit the code vector and collect payload sources;
+  // the payload is folded once, at the end.
+  auto packet = builder_.build(*degree, rng, recode_ops_, recode_payload_);
   if (!packet.has_value()) {
+    recode_payload_.clear();
     ++stats_.recode_failures;
     return std::nullopt;
   }
   if (cfg_.enable_refinement) {
-    stats_.substitutions += refiner_.refine(*packet, recode_ops_);
+    stats_.substitutions +=
+        refiner_.refine(*packet, recode_payload_, recode_ops_);
   }
+  recode_ops_.data_word_ops += recode_payload_.apply(packet->payload);
   occurrences_.on_sent(packet->coeffs);
   return packet;
 }

@@ -128,16 +128,16 @@ class LtncCodec final : private lt::StoreObserver {
   // StoreObserver interface (BpDecoder callbacks).
   bool should_drop(PacketId id, const BitVector& coeffs,
                    std::size_t degree) override;
-  void on_stored(PacketId id, const BitVector& coeffs, std::size_t degree,
-                 const Payload& payload) override;
+  void on_stored(PacketId id, const BitVector& coeffs,
+                 std::size_t degree) override;
   void on_degree_changed(PacketId id, const BitVector& coeffs,
-                         std::size_t old_degree, std::size_t new_degree,
-                         const Payload& payload) override;
+                         std::size_t old_degree,
+                         std::size_t new_degree) override;
   void on_removed(PacketId id, const BitVector& coeffs,
                   std::size_t degree) override;
-  void on_native_decoded(NativeIndex index, const Payload& value) override;
+  void on_native_decoded(NativeIndex index) override;
 
-  void maybe_merge_components(const BitVector& coeffs, const Payload& payload,
+  void maybe_merge_components(PacketId id, const BitVector& coeffs,
                               std::size_t degree);
 
   LtncConfig cfg_;
@@ -154,6 +154,7 @@ class LtncCodec final : private lt::StoreObserver {
   SmartConstructor smart_;
   OpCounters recode_ops_;
   LtncStats stats_;
+  PayloadFold recode_payload_;  ///< build + refine sources, folded once
 };
 
 }  // namespace ltnc::core

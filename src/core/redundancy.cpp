@@ -1,6 +1,7 @@
 #include "core/redundancy.hpp"
 
 #include <array>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -18,6 +19,60 @@ std::uint64_t RedundancyDetector::key3(std::size_t a, std::size_t b,
   // packing is canonical.
   return (static_cast<std::uint64_t>(a) << 42) |
          (static_cast<std::uint64_t>(b) << 21) | static_cast<std::uint64_t>(c);
+}
+
+std::size_t RedundancyDetector::TripleCounts::home(std::uint64_t key) const {
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+std::size_t RedundancyDetector::TripleCounts::find(std::uint64_t key) const {
+  const std::size_t mask = entries_.size() - 1;
+  std::size_t i = home(key);
+  while (entries_[i].key != 0 && entries_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+bool RedundancyDetector::TripleCounts::contains(std::uint64_t key) const {
+  return !entries_.empty() && entries_[find(key)].key == key;
+}
+
+void RedundancyDetector::TripleCounts::increment(std::uint64_t key) {
+  if (2 * (size_ + 1) > entries_.size()) grow();
+  Entry& e = entries_[find(key)];
+  if (e.key == 0) {
+    e.key = key;
+    ++size_;
+  }
+  ++e.count;
+}
+
+void RedundancyDetector::TripleCounts::decrement(std::uint64_t key) {
+  LTNC_DCHECK(contains(key));
+  const std::size_t mask = entries_.size() - 1;
+  std::size_t hole = find(key);
+  if (--entries_[hole].count != 0) return;
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole whenever their home slot does not lie between hole and them.
+  for (std::size_t j = (hole + 1) & mask; entries_[j].key != 0;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(entries_[j].key);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      entries_[hole] = entries_[j];
+      hole = j;
+    }
+  }
+  entries_[hole] = Entry{};
+  --size_;
+}
+
+void RedundancyDetector::TripleCounts::grow() {
+  std::vector<Entry> old = std::move(entries_);
+  entries_.assign(old.empty() ? 16 : 2 * old.size(), Entry{});
+  shift_ = 64;
+  for (std::size_t n = entries_.size(); n > 1; n >>= 1) --shift_;
+  for (const Entry& e : old) {
+    if (e.key != 0) entries_[find(e.key)] = e;
+  }
 }
 
 bool RedundancyDetector::is_redundant(const BitVector& coeffs) const {
@@ -72,17 +127,15 @@ void RedundancyDetector::register_key(PacketId id, const BitVector& coeffs) {
   });
   LTNC_DCHECK(degree == 3);
   const std::uint64_t key = key3(n[0], n[1], n[2]);
-  ++available3_[key];
+  available3_.increment(key);
+  if (id >= packet_key_.size()) packet_key_.resize(id + 1, kNoKey);
   packet_key_[id] = key;
 }
 
 void RedundancyDetector::unregister_key(PacketId id) {
-  const auto it = packet_key_.find(id);
-  if (it == packet_key_.end()) return;
-  const auto avail = available3_.find(it->second);
-  LTNC_DCHECK(avail != available3_.end());
-  if (--avail->second == 0) available3_.erase(avail);
-  packet_key_.erase(it);
+  if (id >= packet_key_.size() || packet_key_[id] == kNoKey) return;
+  available3_.decrement(packet_key_[id]);
+  packet_key_[id] = kNoKey;
 }
 
 void RedundancyDetector::on_stored(PacketId id, const BitVector& coeffs,

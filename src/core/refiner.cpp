@@ -8,7 +8,8 @@ Refiner::Refiner(const ComponentTracker& components,
                  const OccurrenceTracker& occurrences)
     : components_(components), occurrences_(occurrences) {}
 
-std::size_t Refiner::refine(CodedPacket& z, OpCounters& ops) {
+std::size_t Refiner::refine(CodedPacket& z, PayloadFold& payload,
+                            OpCounters& ops) {
   // Iterate the natives of the packet as built; substituted-in natives are
   // not revisited (Algorithm 2 walks "each x ∈ z").
   std::vector<NativeIndex>& original = original_scratch_;
@@ -23,11 +24,10 @@ std::size_t Refiner::refine(CodedPacket& z, OpCounters& ops) {
         x, occurrences_.counts(), z.coeffs, occurrences_.count(x), ops);
     if (!candidate.has_value()) continue;
     // z' ← z' ⊕ (x ⊕ x'): drops x, introduces the rarer x'.
-    Payload bridge = components_.materialize(x, *candidate, ops);
+    components_.materialize_into(payload, x, *candidate, ops);
     z.coeffs.flip(x);
     z.coeffs.flip(*candidate);
     ops.control_word_ops += 2;
-    ops.data_word_ops += z.payload.xor_with(bridge);
     ++substitutions;
   }
   substitutions_total_ += substitutions;

@@ -25,9 +25,11 @@ class Refiner {
  public:
   Refiner(const ComponentTracker& components, const OccurrenceTracker& occurrences);
 
-  /// Applies Algorithm 2 to z in place; returns the number of
+  /// Applies Algorithm 2 to z's code vector in place and adds each
+  /// substitution's bridge x ⊕ x' to `payload` (the packet's pending
+  /// payload sum — see PacketBuilder::build); returns the number of
   /// substitutions performed.
-  std::size_t refine(CodedPacket& z, OpCounters& ops);
+  std::size_t refine(CodedPacket& z, PayloadFold& payload, OpCounters& ops);
 
   std::uint64_t substitutions_total() const { return substitutions_total_; }
 

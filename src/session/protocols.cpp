@@ -7,6 +7,21 @@
 
 namespace ltnc::session {
 
+namespace {
+
+/// True iff natives 0..k-1, read through native_at(i), all equal the
+/// canonical content for content_seed — compared in place, no copies.
+template <typename NativeAt>
+bool natives_match(std::size_t k, std::uint64_t content_seed,
+                   NativeAt&& native_at) {
+  for (std::size_t i = 0; i < k; ++i) {
+    if (!matches_deterministic(native_at(i), content_seed, i)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 const char* scheme_name(Scheme scheme) {
   switch (scheme) {
     case Scheme::kLtnc:
@@ -110,14 +125,10 @@ std::size_t LtncProtocol::useful_packets() const {
 }
 
 bool LtncProtocol::finish_and_verify(std::uint64_t content_seed) {
-  if (!codec_.complete()) return false;
-  for (std::size_t i = 0; i < codec_.k(); ++i) {
-    if (codec_.native_payload(static_cast<NativeIndex>(i)) !=
-        Payload::deterministic(codec_.payload_bytes(), content_seed, i)) {
-      return false;
-    }
-  }
-  return true;
+  return codec_.complete() &&
+         natives_match(codec_.k(), content_seed, [&](std::size_t i) -> const Payload& {
+           return codec_.native_payload(static_cast<NativeIndex>(i));
+         });
 }
 
 // --- RLNC -------------------------------------------------------------------
@@ -147,21 +158,16 @@ std::optional<CodedPacket> RlncProtocol::emit(Rng& rng) {
 bool RlncProtocol::can_emit() const { return codec_.rank() >= threshold_; }
 
 bool RlncProtocol::finish_and_verify(std::uint64_t content_seed) {
-  if (!codec_.complete()) return false;
-  for (std::size_t i = 0; i < codec_.k(); ++i) {
-    if (codec_.native_payload(i) !=
-        Payload::deterministic(codec_.payload_bytes(), content_seed, i)) {
-      return false;
-    }
-  }
-  return true;
+  return codec_.complete() &&
+         natives_match(codec_.k(), content_seed, [&](std::size_t i) -> const Payload& {
+           return codec_.native_payload(i);
+         });
 }
 
 // --- WC ---------------------------------------------------------------------
 
 WcProtocol::WcProtocol(const ProtocolParams& params)
-    : payload_bytes_(params.payload_bytes),
-      node_([&] {
+    : node_([&] {
         wc::WcConfig cfg = params.wc;
         cfg.k = params.k;
         cfg.payload_bytes = params.payload_bytes;
@@ -181,14 +187,10 @@ std::optional<CodedPacket> WcProtocol::emit(Rng& rng) {
 bool WcProtocol::can_emit() const { return node_.buffered() > 0; }
 
 bool WcProtocol::finish_and_verify(std::uint64_t content_seed) {
-  if (!node_.complete()) return false;
-  for (std::size_t i = 0; i < node_.k(); ++i) {
-    if (node_.native_payload(i) !=
-        Payload::deterministic(payload_bytes_, content_seed, i)) {
-      return false;
-    }
-  }
-  return true;
+  return node_.complete() &&
+         natives_match(node_.k(), content_seed, [&](std::size_t i) -> const Payload& {
+           return node_.native_payload(i);
+         });
 }
 
 // --- LT sink ----------------------------------------------------------------
@@ -210,14 +212,10 @@ std::optional<CodedPacket> LtSinkProtocol::emit(Rng& rng) {
 }
 
 bool LtSinkProtocol::finish_and_verify(std::uint64_t content_seed) {
-  if (!decoder_.complete()) return false;
-  for (std::size_t i = 0; i < decoder_.k(); ++i) {
-    if (decoder_.native_payload(static_cast<NativeIndex>(i)) !=
-        Payload::deterministic(decoder_.payload_bytes(), content_seed, i)) {
-      return false;
-    }
-  }
-  return true;
+  return decoder_.complete() &&
+         natives_match(decoder_.k(), content_seed, [&](std::size_t i) -> const Payload& {
+           return decoder_.native_payload(static_cast<NativeIndex>(i));
+         });
 }
 
 // --- factory ----------------------------------------------------------------

@@ -166,7 +166,6 @@ class WcProtocol final : public NodeProtocol {
   const wc::WcNode& node() const { return node_; }
 
  private:
-  std::size_t payload_bytes_;
   wc::WcNode node_;
 };
 

@@ -143,8 +143,8 @@ bool Content::finish_and_verify(std::uint64_t content_seed) {
   if (generationed_ != nullptr) {
     if (!generationed_->complete()) return false;
     for (std::size_t b = 0; b < generationed_->total_blocks(); ++b) {
-      if (generationed_->block_payload(b) !=
-          Payload::deterministic(cfg_.payload_bytes, content_seed, b)) {
+      if (!matches_deterministic(generationed_->block_payload(b),
+                                 content_seed, b)) {
         return false;
       }
     }

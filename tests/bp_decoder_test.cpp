@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -109,15 +110,15 @@ class MirrorObserver : public StoreObserver {
   bool should_drop(PacketId, const BitVector&, std::size_t) override {
     return false;
   }
-  void on_stored(PacketId id, const BitVector& coeffs, std::size_t degree,
-                 const Payload&) override {
+  void on_stored(PacketId id, const BitVector& coeffs,
+                 std::size_t degree) override {
     ASSERT_FALSE(live.contains(id));
     ASSERT_EQ(coeffs.popcount(), degree);
     live[id] = degree;
   }
   void on_degree_changed(PacketId id, const BitVector& coeffs,
-                         std::size_t old_degree, std::size_t new_degree,
-                         const Payload&) override {
+                         std::size_t old_degree,
+                         std::size_t new_degree) override {
     ASSERT_TRUE(live.contains(id));
     ASSERT_EQ(live[id], old_degree);
     ASSERT_EQ(new_degree + 1, old_degree);
@@ -130,7 +131,7 @@ class MirrorObserver : public StoreObserver {
     ASSERT_EQ(live[id], degree);
     live.erase(id);
   }
-  void on_native_decoded(NativeIndex index, const Payload&) override {
+  void on_native_decoded(NativeIndex index) override {
     decoded.push_back(index);
   }
 
@@ -228,6 +229,98 @@ TEST(BpDecoder, ForEachPacketContaining) {
   count = 0;
   dec.for_each_packet_containing(5, [&](PacketId) { ++count; });
   EXPECT_EQ(count, 0);
+}
+
+TEST(BpDecoder, ForEachPacketContainingVisitsEachLivePacketOnce) {
+  // Regression: adjacency lists keep the ids of retired slots, and a
+  // reused id whose new packet holds the same native used to be visited
+  // twice. Churn the store (receives, decodes, external removals that
+  // free ids for reuse) and compare every native's visit list with a
+  // brute-force scan of the live packets.
+  constexpr std::size_t k = 64;
+  constexpr std::size_t m = 8;
+  LtEncoder enc(make_native_payloads(k, m, 14));
+  BpDecoder dec(k, m);
+  Rng rng(15);
+  std::size_t reused_checks = 0;
+  for (int step = 0; step < 400 && !dec.complete(); ++step) {
+    dec.receive(enc.encode(rng));
+    if (dec.stored_count() > 0 && rng.chance(0.3)) {
+      std::vector<PacketId> live;
+      dec.for_each_packet([&](PacketId id) { live.push_back(id); });
+      dec.remove_packet(live[rng.uniform(live.size())]);
+    }
+    for (NativeIndex x = 0; x < k; ++x) {
+      std::vector<PacketId> visited;
+      dec.for_each_packet_containing(
+          x, [&](PacketId id) { visited.push_back(id); });
+      std::vector<PacketId> expected;
+      dec.for_each_packet([&](PacketId id) {
+        if (dec.packet_coeffs(id).test(x)) expected.push_back(id);
+      });
+      std::sort(visited.begin(), visited.end());
+      ASSERT_EQ(visited, expected) << "step " << step << " native " << x;
+      reused_checks += expected.size();
+    }
+  }
+  EXPECT_GT(reused_checks, 0u);
+}
+
+TEST(BpDecoder, LazyPayloadsMatchTheirCoefficients) {
+  // Stored payloads lag behind their code vectors by up to kMaxPending
+  // decoded natives; packet_payload() must always return the exact XOR
+  // of the natives the packet still holds.
+  constexpr std::size_t k = 96;
+  constexpr std::size_t m = 40;
+  const auto natives = make_native_payloads(k, m, 16);
+  LtEncoder enc(make_native_payloads(k, m, 16));
+  BpDecoder dec(k, m);
+  Rng rng(17);
+  std::size_t checked = 0;
+  while (!dec.complete()) {
+    dec.receive(enc.encode(rng));
+    if (rng.chance(0.5)) continue;  // leave some queues to grow
+    dec.for_each_packet([&](PacketId id) {
+      Payload expected(m);
+      dec.packet_coeffs(id).for_each_set(
+          [&](std::size_t i) { expected.xor_with(natives[i]); });
+      ASSERT_EQ(dec.packet_payload(id), expected) << "packet " << id;
+      ++checked;
+    });
+  }
+  EXPECT_GT(checked, 0u);
+  for (std::size_t i = 0; i < k; ++i) {
+    ASSERT_EQ(dec.native_payload(static_cast<NativeIndex>(i)), natives[i]);
+  }
+}
+
+TEST(BpDecoder, DuplicatesAndAbsorbedPacketsPayNoPayloadWork) {
+  constexpr std::size_t k = 8;
+  constexpr std::size_t m = 64;
+  const auto natives = make_native_payloads(k, m, 18);
+  BpDecoder dec(k, m);
+  dec.receive(combine(k, m, {0}, natives));
+  dec.receive(combine(k, m, {1}, natives));
+  const std::uint64_t before = dec.ops().data_word_ops;
+  // Reduces to zero against decoded natives: a duplicate, no payload XOR.
+  EXPECT_EQ(dec.receive(combine(k, m, {0, 1}, natives)),
+            ReceiveResult::kDuplicate);
+  EXPECT_EQ(dec.ops().data_word_ops, before);
+  // a = {0,2,3} is stored as {2,3} with 0 queued; b = {2,3}. Decoding 2
+  // leaves both at {3}; the ripple decodes 3 from b (one queued native
+  // folded) and that absorbs a, whose queue of two is dropped with it,
+  // never folded.
+  static_assert(BpDecoder::kMaxPending >= 2);
+  EXPECT_EQ(dec.receive(combine(k, m, {0, 2, 3}, natives)),
+            ReceiveResult::kStored);
+  EXPECT_EQ(dec.receive(combine(k, m, {2, 3}, natives)),
+            ReceiveResult::kStored);
+  EXPECT_EQ(dec.receive(combine(k, m, {2}, natives)),
+            ReceiveResult::kDecodedNative);
+  EXPECT_EQ(dec.ops().data_word_ops - before, m / 8);
+  EXPECT_EQ(dec.stored_count(), 0u);
+  EXPECT_EQ(dec.decoded_count(), 4u);
+  EXPECT_EQ(dec.native_payload(3), natives[3]);
 }
 
 TEST(BpDecoder, CountsOps) {

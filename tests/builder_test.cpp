@@ -13,6 +13,15 @@ namespace {
 
 constexpr std::size_t kM = 8;
 
+// build() with its payload sources folded in: the finished packet.
+std::optional<CodedPacket> build(PacketBuilder& builder, std::size_t target,
+                                 Rng& rng, OpCounters& ops) {
+  PayloadFold payload;
+  auto z = builder.build(target, rng, ops, payload);
+  if (z.has_value()) payload.apply(z->payload);
+  return z;
+}
+
 // Minimal wiring of a BP decoder store into a DegreeIndex, mimicking the
 // codec's observer without the rest of the machinery.
 class IndexedStore : public lt::StoreObserver {
@@ -22,12 +31,12 @@ class IndexedStore : public lt::StoreObserver {
         decoder(k, kM, this),
         natives(lt::make_native_payloads(k, kM, content_seed)) {}
 
-  void on_stored(PacketId id, const BitVector&, std::size_t degree,
-                 const Payload&) override {
+  void on_stored(PacketId id, const BitVector&,
+                 std::size_t degree) override {
     index.insert(id, degree);
   }
   void on_degree_changed(PacketId id, const BitVector&, std::size_t od,
-                         std::size_t nd, const Payload&) override {
+                         std::size_t nd) override {
     index.change(id, od, nd);
   }
   void on_removed(PacketId id, const BitVector&, std::size_t deg) override {
@@ -65,7 +74,7 @@ TEST(PacketBuilder, PaperWalkthrough) {
   OpCounters ops;
   Rng rng(7);
   for (int trial = 0; trial < 50; ++trial) {
-    const auto z = builder.build(5, rng, ops);
+    const auto z = build(builder, 5, rng, ops);
     ASSERT_TRUE(z.has_value());
     // Degree must never exceed the target; payload must be consistent.
     EXPECT_LE(z->degree(), 5u);
@@ -81,7 +90,7 @@ TEST(PacketBuilder, ReachesExactTargetWhenPossible) {
   PacketBuilder builder(s.decoder, s.index);
   OpCounters ops;
   Rng rng(8);
-  const auto z = builder.build(5, rng, ops);
+  const auto z = build(builder, 5, rng, ops);
   ASSERT_TRUE(z.has_value());
   EXPECT_EQ(z->degree(), 5u);  // disjoint supports always combine fully
   EXPECT_EQ(z->coeffs, BitVector::from_indices(8, {0, 1, 2, 3, 4}));
@@ -98,7 +107,7 @@ TEST(PacketBuilder, AvoidsCollisionsThatLowerDegree) {
   OpCounters ops;
   Rng rng(9);
   for (int trial = 0; trial < 20; ++trial) {
-    const auto z = builder.build(3, rng, ops);
+    const auto z = build(builder, 3, rng, ops);
     ASSERT_TRUE(z.has_value());
     EXPECT_EQ(z->degree(), 3u);
     EXPECT_EQ(z->coeffs, BitVector::from_indices(8, {0, 1, 2}));
@@ -113,7 +122,7 @@ TEST(PacketBuilder, UsesDecodedNativesAsDegree1) {
   PacketBuilder builder(s.decoder, s.index);
   OpCounters ops;
   Rng rng(10);
-  const auto z = builder.build(2, rng, ops);
+  const auto z = build(builder, 2, rng, ops);
   ASSERT_TRUE(z.has_value());
   EXPECT_EQ(z->degree(), 2u);
   EXPECT_EQ(z->coeffs, BitVector::from_indices(8, {3, 5}));
@@ -127,7 +136,7 @@ TEST(PacketBuilder, MixesEncodedAndDecoded) {
   PacketBuilder builder(s.decoder, s.index);
   OpCounters ops;
   Rng rng(11);
-  const auto z = builder.build(3, rng, ops);
+  const auto z = build(builder, 3, rng, ops);
   ASSERT_TRUE(z.has_value());
   EXPECT_EQ(z->degree(), 3u);
   EXPECT_EQ(z->coeffs, BitVector::from_indices(8, {0, 1, 2}));
@@ -138,7 +147,7 @@ TEST(PacketBuilder, EmptyStoreFails) {
   PacketBuilder builder(s.decoder, s.index);
   OpCounters ops;
   Rng rng(12);
-  EXPECT_FALSE(builder.build(3, rng, ops).has_value());
+  EXPECT_FALSE(build(builder, 3, rng, ops).has_value());
 }
 
 TEST(PacketBuilder, DeviationStatsRecorded) {
@@ -147,7 +156,7 @@ TEST(PacketBuilder, DeviationStatsRecorded) {
   PacketBuilder builder(s.decoder, s.index);
   OpCounters ops;
   Rng rng(13);
-  const auto z = builder.build(5, rng, ops);  // can only reach 2
+  const auto z = build(builder, 5, rng, ops);  // can only reach 2
   ASSERT_TRUE(z.has_value());
   EXPECT_EQ(z->degree(), 2u);
   EXPECT_EQ(builder.stats().builds, 1u);
@@ -171,7 +180,7 @@ TEST_P(BuilderTargetSweep, RichStoreHitsTargetsOften) {
   int hits = 0;
   constexpr int kTrials = 200;
   for (int t = 0; t < kTrials; ++t) {
-    const auto z = builder.build(target, rng, ops);
+    const auto z = build(builder, target, rng, ops);
     ASSERT_TRUE(z.has_value());
     ASSERT_LE(z->degree(), target);
     EXPECT_EQ(z->payload, s.expected_payload(z->coeffs));

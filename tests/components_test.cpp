@@ -243,5 +243,73 @@ TEST(ComponentTracker, RandomisedUnionFindEquivalence) {
   }
 }
 
+TEST(ComponentTracker, MaterializeIntoMatchesNativesAfterMergesAndDecodes) {
+  // Random unions interleaved with decodes (a decoded native drags its
+  // whole component along, as the ripple would); after every step, each
+  // connected pair's materialize_into sources must XOR to the natives'.
+  // The sources of many pairs are folded into one payload at once, as a
+  // refinement does, so compressions from later lookups must not disturb
+  // sources handed out earlier.
+  constexpr std::size_t k = 48;
+  Rng rng(123);
+  for (int trial = 0; trial < 4; ++trial) {
+    Fixture f(k, trial + 11);
+    for (int step = 0; step < 80; ++step) {
+      const auto a = static_cast<NativeIndex>(rng.uniform(k));
+      const auto b = static_cast<NativeIndex>(rng.uniform(k));
+      if (rng.chance(0.1)) {
+        if (!f.tracker.is_decoded(a)) {
+          for (NativeIndex x : f.tracker.members_of(a)) f.decode(x);
+        }
+      } else if (a != b && !f.tracker.is_decoded(a) &&
+                 !f.tracker.is_decoded(b)) {
+        f.edge(a, b);
+      }
+      PayloadFold fold;
+      Payload expected(kM);
+      for (NativeIndex x = 0; x < k; ++x) {
+        for (NativeIndex y = 0; y < x; ++y) {
+          if (!f.tracker.connected(x, y)) continue;
+          PayloadFold single;
+          Payload got(kM);
+          f.tracker.materialize_into(single, x, y, f.ops);
+          ASSERT_LE(single.size(), 2u);
+          single.apply(got);
+          ASSERT_EQ(got, f.xor_of(x, y))
+              << "trial " << trial << " step " << step << " pair " << x
+              << "," << y;
+          f.tracker.materialize_into(fold, x, y, f.ops);
+          expected.xor_with(f.xor_of(x, y));
+        }
+      }
+      Payload folded(kM);
+      fold.apply(folded);
+      ASSERT_EQ(folded, expected) << "trial " << trial << " step " << step;
+    }
+  }
+}
+
+TEST(ComponentTracker, PickSubstituteHandlesCountsBeyond32Bits) {
+  // Heap keys are 32-bit: counts below 2^32 − 1 order exactly, counts at
+  // or past it tie at the key's ceiling, and the lazy refresh still
+  // terminates.
+  Fixture f(6);
+  f.edge(0, 1);
+  f.edge(1, 2);
+  f.edge(2, 3);
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  std::vector<std::uint64_t> occ{big + 9, big + 5, 4294967294ULL, big, 0, 0};
+  const BitVector packet = BitVector::from_indices(6, {0});
+  auto pick = f.tracker.pick_substitute(0, occ, packet, occ[0], f.ops);
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(*pick, 2u);  // the only count below the key ceiling
+  occ[2] = big + 1;  // now every count is past it: all tie at the limit
+  pick = f.tracker.pick_substitute(0, occ, packet, occ[0], f.ops);
+  EXPECT_FALSE(pick.has_value());
+  // A limit below the ceiling still compares exactly.
+  pick = f.tracker.pick_substitute(0, occ, packet, 4294967294ULL, f.ops);
+  EXPECT_FALSE(pick.has_value());
+}
+
 }  // namespace
 }  // namespace ltnc::core

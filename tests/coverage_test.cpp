@@ -12,7 +12,7 @@ namespace ltnc::core {
 namespace {
 
 // A tiny reference store the tracker is tested against: packets with live
-// coefficient sets, supplying the rescan callback.
+// coefficient sets, supplying the rescan callable.
 struct RefStore {
   std::map<int, std::pair<BitVector, std::size_t>> packets;  // id -> (coeffs, deg)
   std::set<NativeIndex> decoded;
@@ -20,9 +20,8 @@ struct RefStore {
 
   explicit RefStore(std::size_t k_) : k(k_) {}
 
-  CoverageTracker::Rescan rescan() {
-    return [this](NativeIndex x,
-                  const std::function<void(std::size_t)>& visit) {
+  auto rescan() const {
+    return [this](NativeIndex x, auto&& visit) {
       for (const auto& [id, pkt] : packets) {
         if (pkt.first.test(x)) visit(pkt.second);
       }
@@ -47,7 +46,7 @@ TEST(CoverageTracker, PaperExample) {
   // {x1⊕x2⊕x3, x1⊕x3, x2⊕x5} (0-based: {0,1,2}, {0,2}, {1,4}) covers only
   // 4 natives, so a degree-5 packet is unreachable (paper §III-B.1).
   RefStore store(8);
-  CoverageTracker cov(8, store.rescan());
+  CoverageTracker cov(8);
   auto add = [&](int id, std::vector<std::size_t> idx) {
     BitVector v = BitVector::from_indices(8, idx);
     store.packets[id] = {v, idx.size()};
@@ -65,7 +64,7 @@ TEST(CoverageTracker, PaperExample) {
 
 TEST(CoverageTracker, DegreeLimitedCoverage) {
   RefStore store(8);
-  CoverageTracker cov(8, store.rescan());
+  CoverageTracker cov(8);
   const BitVector pair = BitVector::from_indices(8, {0, 1});
   const BitVector triple = BitVector::from_indices(8, {2, 3, 4});
   store.packets[0] = {pair, 2};
@@ -79,7 +78,7 @@ TEST(CoverageTracker, DegreeLimitedCoverage) {
 
 TEST(CoverageTracker, DecodedNativesAlwaysCovered) {
   RefStore store(4);
-  CoverageTracker cov(4, store.rescan());
+  CoverageTracker cov(4);
   cov.on_native_decoded(2);
   EXPECT_EQ(cov.coverage(0), 1u);
   EXPECT_EQ(cov.coverage(4), 1u);
@@ -88,7 +87,7 @@ TEST(CoverageTracker, DecodedNativesAlwaysCovered) {
 
 TEST(CoverageTracker, DegreeChangeLowersMinimum) {
   RefStore store(8);
-  CoverageTracker cov(8, store.rescan());
+  CoverageTracker cov(8);
   BitVector v = BitVector::from_indices(8, {0, 1, 2});
   store.packets[0] = {v, 3};
   cov.on_packet_added(v, 3);
@@ -103,7 +102,7 @@ TEST(CoverageTracker, DegreeChangeLowersMinimum) {
 
 TEST(CoverageTracker, RemovalTriggersRescan) {
   RefStore store(8);
-  CoverageTracker cov(8, store.rescan());
+  CoverageTracker cov(8);
   const BitVector a = BitVector::from_indices(8, {0, 1});
   const BitVector b = BitVector::from_indices(8, {0, 2, 3});
   store.packets[0] = {a, 2};
@@ -113,7 +112,7 @@ TEST(CoverageTracker, RemovalTriggersRescan) {
   EXPECT_EQ(cov.min_degree_of(0), 2u);
   // Remove the degree-2 packet: native 0's min must rescan to 3.
   store.packets.erase(0);
-  cov.on_packet_removed(a, 2);
+  cov.on_packet_removed(a, 2, store.rescan());
   EXPECT_EQ(cov.min_degree_of(0), 3u);
   EXPECT_EQ(cov.coverage(2), 0u);
   EXPECT_EQ(cov.coverage(3), 3u);
@@ -126,7 +125,7 @@ TEST(CoverageTracker, RandomisedAgainstGroundTruth) {
   // 1), and packets are removed. Ground truth recomputed from the store.
   constexpr std::size_t k = 24;
   RefStore store(k);
-  CoverageTracker cov(k, store.rescan());
+  CoverageTracker cov(k);
   Rng rng(77);
   int next_id = 0;
   for (int step = 0; step < 1500; ++step) {
@@ -169,7 +168,7 @@ TEST(CoverageTracker, RandomisedAgainstGroundTruth) {
           cov.on_packet_degree_changed(v, 2, 1);
           const BitVector residual = v;
           store.packets.erase(id);
-          cov.on_packet_removed(residual, 1);
+          cov.on_packet_removed(residual, 1, store.rescan());
         }
       }
     } else {
@@ -179,7 +178,7 @@ TEST(CoverageTracker, RandomisedAgainstGroundTruth) {
       const BitVector v = it->second.first;
       const std::size_t d = it->second.second;
       store.packets.erase(it);
-      cov.on_packet_removed(v, d);
+      cov.on_packet_removed(v, d, store.rescan());
     }
     if (step % 25 == 0) {
       for (std::size_t d : {std::size_t{1}, std::size_t{2}, std::size_t{3},

@@ -60,6 +60,12 @@ TEST(DegreeIndex, MaxDegree) {
   EXPECT_EQ(idx.max_degree(), 9u);
   idx.remove(1, 9);
   EXPECT_EQ(idx.max_degree(), 2u);
+  idx.insert(2, 7);
+  idx.change(2, 7, 6);  // the top bucket empties; the next one holds it
+  EXPECT_EQ(idx.max_degree(), 6u);
+  idx.remove(2, 6);
+  idx.remove(0, 2);
+  EXPECT_EQ(idx.max_degree(), 0u);
 }
 
 TEST(DegreeIndex, RandomisedAgainstModel) {
@@ -88,6 +94,10 @@ TEST(DegreeIndex, RandomisedAgainstModel) {
       idx.remove(it->first, it->second);
       model.erase(it);
     }
+    // The cached maximum tracks the model after every operation.
+    std::size_t max_d = 0;
+    for (const auto& [id, d] : model) max_d = std::max(max_d, d);
+    ASSERT_EQ(idx.max_degree(), max_d) << "step " << step;
     // Periodic full consistency check.
     if (step % 100 == 0) {
       std::map<std::size_t, std::size_t> by_degree;

@@ -23,12 +23,7 @@ struct Harness {
       : k(k_),
         soliton(k_),
         index(k_),
-        coverage(k_, [this](NativeIndex x,
-                            const std::function<void(std::size_t)>& visit) {
-          for (const auto& [id, v] : packets) {
-            if (v.test(x)) visit(v.popcount());
-          }
-        }) {}
+        coverage(k_) {}
 
   void add(std::vector<std::size_t> idx) {
     const BitVector v = BitVector::from_indices(k, idx);

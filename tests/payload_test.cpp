@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace ltnc {
 namespace {
 
@@ -57,6 +59,47 @@ TEST(Payload, TailBytesAreMaskedForOddSizes) {
   for (std::size_t i = 13; i < 16; ++i) {
     EXPECT_EQ(a.words()[1] >> ((i - 8) * 8) & 0xff, 0u);
   }
+}
+
+TEST(Payload, MatchesDeterministicAgreesWithEquality) {
+  for (const std::size_t bytes : {0, 8, 13, 1024}) {
+    const Payload p = Payload::deterministic(bytes, 6, 3);
+    EXPECT_TRUE(matches_deterministic(p, 6, 3)) << bytes;
+    if (bytes == 0) continue;
+    EXPECT_FALSE(matches_deterministic(p, 7, 3)) << bytes;
+    EXPECT_FALSE(matches_deterministic(p, 6, 4)) << bytes;
+  }
+}
+
+TEST(Payload, MatchesDeterministicCatchesAFlippedTailBit) {
+  // 13 bytes: the second word carries 5 payload bytes; flip the last one.
+  Payload p = Payload::deterministic(13, 9, 2);
+  ASSERT_TRUE(matches_deterministic(p, 9, 2));
+  p.mutable_words()[1] ^= 1ULL << (4 * 8 + 7);
+  EXPECT_FALSE(matches_deterministic(p, 9, 2));
+  // Same at a whole-word size: the very last bit of the last word.
+  Payload q = Payload::deterministic(1024, 9, 2);
+  q.mutable_words()[127] ^= 1ULL << 63;
+  EXPECT_FALSE(matches_deterministic(q, 9, 2));
+}
+
+TEST(Payload, FoldEqualsSequentialXor) {
+  std::vector<Payload> sources;
+  for (std::size_t i = 0; i < 70; ++i) {
+    sources.push_back(Payload::deterministic(40, 5, i));
+  }
+  Payload expected = Payload::deterministic(40, 6, 0);
+  Payload folded = expected;
+  PayloadFold fold;
+  for (const Payload& s : sources) {
+    expected.xor_with(s);
+    fold.add(s);
+  }
+  fold.add(sources[3]);  // a repeated source cancels, as in GF(2)
+  expected.xor_with(sources[3]);
+  EXPECT_EQ(fold.apply(folded), 71 * folded.word_count());
+  EXPECT_EQ(folded, expected);
+  EXPECT_EQ(fold.size(), 0u);  // apply() empties the fold
 }
 
 TEST(Payload, ByteAccessor) {

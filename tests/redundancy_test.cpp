@@ -151,6 +151,49 @@ TEST(RedundancyDetector, CountsChecksAndHits) {
   EXPECT_EQ(f.detector.hits(), 1u);
 }
 
+TEST(RedundancyDetector, TripleIndexMatchesAReferenceMultiset) {
+  // Many triples stored and dropped in random order — the open-addressed
+  // table grows several times and its deletions shift probe runs. With
+  // nothing decoded or connected, a triple is redundant exactly when a
+  // live packet holds it.
+  constexpr std::size_t k = 40;
+  Fixture f(k);
+  Rng rng(5);
+  std::map<PacketId, std::vector<std::size_t>> live;
+  std::map<std::vector<std::size_t>, int> count;
+  std::vector<std::vector<std::size_t>> seen;
+  const auto random_triple = [&] {
+    std::vector<std::size_t> idx;
+    while (idx.size() < 3) {
+      const std::size_t c = rng.uniform(12);  // few natives: collisions
+      if (std::find(idx.begin(), idx.end(), c) == idx.end()) idx.push_back(c);
+    }
+    std::sort(idx.begin(), idx.end());
+    return idx;
+  };
+  for (int step = 0; step < 3000; ++step) {
+    if (live.empty() || rng.chance(0.55)) {
+      const auto idx = random_triple();
+      live[f.store3(idx)] = idx;
+      ++count[idx];
+      seen.push_back(idx);
+    } else {
+      auto it = live.begin();
+      std::advance(it, rng.uniform(live.size()));
+      f.detector.on_removed(it->first);
+      --count[it->second];
+      live.erase(it);
+    }
+    if (step % 50 == 0) {
+      for (const auto& idx : seen) {
+        ASSERT_EQ(f.redundant(idx), count[idx] > 0) << "step " << step;
+      }
+    }
+  }
+  for (const auto& [id, idx] : live) f.detector.on_removed(id);
+  for (const auto& idx : seen) EXPECT_FALSE(f.redundant(idx));
+}
+
 // Soundness property: whenever the detector says "redundant", the vector
 // must genuinely lie in the GF(2) span of the node's holdings. (The
 // converse does not hold — the detector is deliberately incomplete.)

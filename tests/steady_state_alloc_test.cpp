@@ -174,6 +174,66 @@ TEST(SteadyStateAllocation, LtncRecodeIsAllocationFree) {
       << "LTNC recode allocated on the steady-state path";
 }
 
+TEST(SteadyStateAllocation, LtncReceiveAndRecodeAreAllocationFree) {
+  // A relay whose last natives are stuck for belief propagation: 0..59
+  // decoded; 60..63 held only as the edges 60⊕61, 61⊕62, 62⊕63 and the
+  // triple 60⊕61⊕62. Arrivals mix decoded natives with an edge pair or
+  // that triple, so every one runs the full receive path — copy, strip
+  // the decoded natives, Algorithm 3's veto — while recoding builds,
+  // refines and folds from the store, the components and the decoded
+  // natives. Once warm, neither path may touch the heap or need a fresh
+  // arena block.
+  const std::size_t k = 64;
+  const std::size_t m = 512;
+  core::LtncConfig cfg;
+  cfg.k = k;
+  cfg.payload_bytes = m;
+  core::LtncCodec codec(cfg);
+  const auto natives = lt::make_native_payloads(k, m, 23);
+  const auto packet = [&](const std::vector<std::size_t>& idx) {
+    CodedPacket pkt{BitVector::from_indices(k, idx), Payload(m)};
+    for (std::size_t i : idx) pkt.payload.xor_with(natives[i]);
+    return pkt;
+  };
+  for (std::size_t i = 0; i < 60; ++i) codec.receive(packet({i}));
+  for (const auto& idx : std::vector<std::vector<std::size_t>>{
+           {60, 61}, {61, 62}, {62, 63}, {60, 61, 62}}) {
+    ASSERT_EQ(codec.receive(packet(idx)), lt::ReceiveResult::kStored);
+  }
+  const std::vector<std::vector<std::size_t>> stuck{
+      {60, 61}, {61, 62}, {62, 63}, {60, 63}, {60, 61, 62}};
+  Rng rng(43);
+  std::vector<CodedPacket> arrivals;
+  for (int i = 0; i < 64; ++i) {
+    std::vector<std::size_t> idx = stuck[rng.uniform(stuck.size())];
+    for (std::size_t j = 0; j < 60; ++j) {
+      if (rng.chance(0.05)) idx.push_back(j);
+    }
+    arrivals.push_back(packet(idx));
+  }
+  const auto exchange = [&](int i) {
+    const auto result = codec.receive(arrivals[i % arrivals.size()]);
+    ASSERT_EQ(result, lt::ReceiveResult::kRejectedRedundant);
+    auto pkt = codec.recode(rng);
+    ASSERT_TRUE(pkt.has_value());
+    g_sink = g_sink ^ pkt->payload.words()[0];
+  };
+  // Long warmup: the scratch vectors (bucket candidates, fold sources)
+  // grow with the packet degree, so the rare high Robust-Soliton degrees
+  // must all have been drawn once.
+  for (int i = 0; i < 3000; ++i) exchange(i);
+  ASSERT_EQ(codec.decoded_count(), 60u);
+  ASSERT_EQ(codec.stored_count(), 4u);
+  ASSERT_GT(codec.stats().substitutions, 0u);
+  const std::uint64_t before = g_allocations;
+  const std::uint64_t fresh = WordArena::local().stats().fresh_blocks;
+  for (int i = 0; i < 2000; ++i) exchange(i);
+  EXPECT_EQ(g_allocations, before)
+      << "LTNC receive/recode allocated on the steady-state path";
+  EXPECT_EQ(WordArena::local().stats().fresh_blocks, fresh)
+      << "LTNC receive/recode needed fresh arena blocks at steady state";
+}
+
 TEST(SteadyStateAllocation, WireRoundTripIsAllocationFree) {
   // encode → serialize → SimChannel → deserialize → decode: the whole
   // data path a deployed node runs per packet. Frame buffers are leased
