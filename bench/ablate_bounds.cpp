@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "metrics/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -23,7 +22,7 @@ int main(int argc, char** argv) {
   cfg.max_rounds = 120 * cfg.k;
   const std::size_t runs = args.runs != 0 ? args.runs : 3;
 
-  bench::print_header("Ablation: degree reachability bounds (§III-B.1)",
+  bench::print_header(args, "Ablation: degree reachability bounds (§III-B.1)",
                       "N = " + std::to_string(cfg.num_nodes) +
                           ", k = " + std::to_string(cfg.k) +
                           ", runs = " + std::to_string(runs));
@@ -33,25 +32,18 @@ int main(int argc, char** argv) {
   off_cfg.ltnc.enable_reachability_bounds = false;
   const auto off = metrics::run_monte_carlo(Scheme::kLtnc, off_cfg, runs);
 
-  TextTable table({"metric", "bounds ON", "bounds OFF"});
-  table.add_row({"build reaches target %",
-                 TextTable::num(100 * on.build_target_rate, 1),
-                 TextTable::num(100 * off.build_target_rate, 1)});
-  table.add_row({"mean relative degree deviation %",
-                 TextTable::num(100 * on.build_mean_relative_deviation, 2),
-                 TextTable::num(100 * off.build_mean_relative_deviation, 2)});
-  table.add_row({"communication overhead %",
-                 TextTable::num(100 * on.overhead.mean(), 1),
-                 TextTable::num(100 * off.overhead.mean(), 1)});
-  table.add_row({"mean completion round",
-                 TextTable::num(on.mean_completion.mean(), 1),
-                 TextTable::num(off.mean_completion.mean(), 1)});
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  std::cout << "\nexpected: OFF accepts unreachable degrees, so builds fall "
-               "short of their targets far more often.\n";
+  bench::Ablation table{"bounds"};
+  table.add("build reaches target %", 100 * on.build_target_rate,
+            100 * off.build_target_rate, 1);
+  table.add("mean relative degree deviation %",
+            100 * on.build_mean_relative_deviation,
+            100 * off.build_mean_relative_deviation, 2);
+  table.add("communication overhead %", 100 * on.overhead.mean(),
+            100 * off.overhead.mean(), 1);
+  table.add("mean completion round", on.mean_completion.mean(),
+            off.mean_completion.mean(), 1);
+  bench::emit(args, table.rows);
+  bench::prose(args) << "\nexpected: OFF accepts unreachable degrees, so "
+                        "builds fall short of their targets far more often.\n";
   return 0;
 }

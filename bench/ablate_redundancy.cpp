@@ -8,7 +8,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "metrics/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -24,7 +23,7 @@ int main(int argc, char** argv) {
   cfg.max_rounds = 120 * cfg.k;
   const std::size_t runs = args.runs != 0 ? args.runs : 3;
 
-  bench::print_header("Ablation: redundancy detection (Algorithm 3)",
+  bench::print_header(args, "Ablation: redundancy detection (Algorithm 3)",
                       "N = " + std::to_string(cfg.num_nodes) +
                           ", k = " + std::to_string(cfg.k) +
                           ", runs = " + std::to_string(runs));
@@ -34,29 +33,23 @@ int main(int argc, char** argv) {
   off_cfg.ltnc.enable_redundancy_detection = false;
   const auto off = metrics::run_monte_carlo(Scheme::kLtnc, off_cfg, runs);
 
-  TextTable table({"metric", "detector ON", "detector OFF"});
-  table.add_row({"communication overhead %",
-                 TextTable::num(100 * on.overhead.mean(), 1),
-                 TextTable::num(100 * off.overhead.mean(), 1)});
-  table.add_row({"abort rate %", TextTable::num(100 * on.abort_rate.mean(), 1),
-                 TextTable::num(100 * off.abort_rate.mean(), 1)});
-  table.add_row({"mean completion round",
-                 TextTable::num(on.mean_completion.mean(), 1),
-                 TextTable::num(off.mean_completion.mean(), 1)});
-  table.add_row({"decode ctrl ops / node",
-                 TextTable::num(on.decode_control_per_node, 0),
-                 TextTable::num(off.decode_control_per_node, 0)});
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::Ablation table{"detector"};
+  table.add("communication overhead %", 100 * on.overhead.mean(),
+            100 * off.overhead.mean(), 1);
+  table.add("abort rate %", 100 * on.abort_rate.mean(),
+            100 * off.abort_rate.mean(), 1);
+  table.add("mean completion round", on.mean_completion.mean(),
+            off.mean_completion.mean(), 1);
+  table.add("decode ctrl ops / node", on.decode_control_per_node,
+            off.decode_control_per_node, 0);
+  bench::emit(args, table.rows);
 
   const double reduction =
       off.overhead.mean() > 0.0
           ? 100.0 * (1.0 - on.overhead.mean() / off.overhead.mean())
           : 0.0;
-  std::cout << "\nredundant payload insertions removed by the detector: "
-            << TextTable::num(reduction, 1) << "% (paper: 31%)\n";
+  bench::prose(args)
+      << "\nredundant payload insertions removed by the detector: "
+      << metrics::fixed(reduction, 1) << "% (paper: 31%)\n";
   return 0;
 }

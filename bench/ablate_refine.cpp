@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "metrics/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -23,7 +22,7 @@ int main(int argc, char** argv) {
   cfg.max_rounds = 120 * cfg.k;
   const std::size_t runs = args.runs != 0 ? args.runs : 3;
 
-  bench::print_header("Ablation: refinement (Algorithm 2)",
+  bench::print_header(args, "Ablation: refinement (Algorithm 2)",
                       "N = " + std::to_string(cfg.num_nodes) +
                           ", k = " + std::to_string(cfg.k) +
                           ", runs = " + std::to_string(runs));
@@ -33,25 +32,17 @@ int main(int argc, char** argv) {
   off_cfg.ltnc.enable_refinement = false;
   const auto off = metrics::run_monte_carlo(Scheme::kLtnc, off_cfg, runs);
 
-  TextTable table({"metric", "refinement ON", "refinement OFF"});
-  table.add_row({"occurrence relative stddev %",
-                 TextTable::num(100 * on.occurrence_rel_stddev, 2),
-                 TextTable::num(100 * off.occurrence_rel_stddev, 2)});
-  table.add_row({"communication overhead %",
-                 TextTable::num(100 * on.overhead.mean(), 1),
-                 TextTable::num(100 * off.overhead.mean(), 1)});
-  table.add_row({"mean completion round",
-                 TextTable::num(on.mean_completion.mean(), 1),
-                 TextTable::num(off.mean_completion.mean(), 1)});
-  table.add_row({"recode ctrl ops / node",
-                 TextTable::num(on.recode_control_per_node, 0),
-                 TextTable::num(off.recode_control_per_node, 0)});
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  std::cout << "\nexpected: ON keeps the occurrence spread near-flat at the "
-               "price of extra recode work.\n";
+  bench::Ablation table{"refinement"};
+  table.add("occurrence relative stddev %", 100 * on.occurrence_rel_stddev,
+            100 * off.occurrence_rel_stddev, 2);
+  table.add("communication overhead %", 100 * on.overhead.mean(),
+            100 * off.overhead.mean(), 1);
+  table.add("mean completion round", on.mean_completion.mean(),
+            off.mean_completion.mean(), 1);
+  table.add("recode ctrl ops / node", on.recode_control_per_node,
+            off.recode_control_per_node, 0);
+  bench::emit(args, table.rows);
+  bench::prose(args) << "\nexpected: ON keeps the occurrence spread near-flat "
+                        "at the price of extra recode work.\n";
   return 0;
 }

@@ -6,9 +6,9 @@
 // time is parameter tuning rather than algorithm — context for comparing
 // our Fig. 7b/7c absolute numbers against the paper's.
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "metrics/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -24,13 +24,12 @@ int main(int argc, char** argv) {
   cfg.max_rounds = 200 * cfg.k;
   const std::size_t runs = args.runs != 0 ? args.runs : 3;
 
-  bench::print_header("Ablation: Robust Soliton parameters (c, delta)",
+  bench::print_header(args, "Ablation: Robust Soliton parameters (c, delta)",
                       "N = " + std::to_string(cfg.num_nodes) +
                           ", k = " + std::to_string(cfg.k) +
                           ", runs = " + std::to_string(runs));
 
-  TextTable table({"c", "delta", "mean degree", "overhead %",
-                   "mean completion", "converged"});
+  std::vector<metrics::RunRecord> table;
   for (const double c : {0.03, 0.1, 0.3}) {
     for (const double delta : {0.05, 0.5}) {
       dissem::SimConfig sweep = cfg;
@@ -39,21 +38,19 @@ int main(int argc, char** argv) {
       const lt::RobustSoliton rs(sweep.k, sweep.ltnc.soliton);
       const auto mc =
           metrics::run_monte_carlo(Scheme::kLtnc, sweep, runs);
-      table.add_row({TextTable::num(c, 2), TextTable::num(delta, 2),
-                     TextTable::num(rs.mean_degree(), 2),
-                     TextTable::num(100 * mc.overhead.mean(), 1),
-                     TextTable::num(mc.mean_completion.mean(), 1),
-                     std::to_string(mc.runs_fully_converged) + "/" +
-                         std::to_string(mc.runs)});
+      table.push_back(
+          {{"c", metrics::fixed(c, 2)},
+           {"delta", metrics::fixed(delta, 2)},
+           {"mean degree", metrics::fixed(rs.mean_degree(), 2)},
+           {"overhead %", metrics::fixed(100 * mc.overhead.mean(), 1)},
+           {"mean completion", metrics::fixed(mc.mean_completion.mean(), 1)},
+           {"converged", std::to_string(mc.runs_fully_converged) + "/" +
+                             std::to_string(mc.runs)}});
     }
   }
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  std::cout << "\nlower c / higher delta -> lighter distribution tail, "
-               "cheaper packets, but a weaker ripple; the sweet spot "
-               "shifts with k.\n";
+  bench::emit(args, table);
+  bench::prose(args) << "\nlower c / higher delta -> lighter distribution "
+                        "tail, cheaper packets, but a weaker ripple; the "
+                        "sweet spot shifts with k.\n";
   return 0;
 }

@@ -2,10 +2,15 @@
 //
 // Every bench accepts:
 //   --full         paper-scale parameters (slow; default is laptop scale)
-//   --csv          machine-readable output instead of the boxed table
-//   --nodes=N --k=K --runs=R   explicit overrides
+//   --csv          one CSV table on stdout instead of the boxed table
+//   --nodes=N --k=K --runs=R --seed=S   explicit overrides
 // and prints the scale it ran at, so every published number is
 // reproducible by construction.
+//
+// Results are metrics::RunRecord rows (one per table row; the keys are
+// the column headers) written by bench::emit. In --csv mode stdout is
+// exactly one CSV table: the banner, secondary tables and notes go to
+// bench::prose(), which is then stderr.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +20,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "metrics/emitter.hpp"
 
 namespace ltnc::bench {
 
@@ -54,8 +61,37 @@ struct Args {
   }
 };
 
-inline void print_header(const std::string& title, const std::string& scale) {
-  std::cout << "\n=== " << title << " ===\n" << scale << "\n\n";
+/// Where everything but the result table goes: stdout beside the boxed
+/// table, stderr in --csv mode.
+inline std::ostream& prose(const Args& args) {
+  return args.csv ? std::cerr : std::cout;
+}
+
+inline void print_header(const Args& args, const std::string& title,
+                         const std::string& scale) {
+  prose(args) << "\n=== " << title << " ===\n" << scale << "\n\n";
+}
+
+/// An ON/OFF ablation table: rows of `metric | <what> ON | <what> OFF`.
+struct Ablation {
+  std::string what;
+  std::vector<metrics::RunRecord> rows{};
+
+  void add(const char* metric, double on, double off, int precision) {
+    rows.push_back({{"metric", metric},
+                    {what + " ON", metrics::fixed(on, precision)},
+                    {what + " OFF", metrics::fixed(off, precision)}});
+  }
+};
+
+/// The bench's result table on stdout: CSV with --csv, boxed otherwise.
+inline void emit(const Args& args,
+                 const std::vector<metrics::RunRecord>& records) {
+  if (args.csv) {
+    metrics::write_csv(std::cout, records);
+  } else {
+    metrics::write_table(std::cout, records);
+  }
 }
 
 }  // namespace ltnc::bench

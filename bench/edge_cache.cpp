@@ -34,6 +34,7 @@
 namespace {
 
 using ltnc::cache::CacheRunStats;
+using ltnc::cache::cache_run_record;
 using ltnc::cache::CacheScenario;
 using ltnc::cache::Policy;
 using ltnc::metrics::RunRecord;
@@ -53,45 +54,6 @@ CacheScenario base_scenario(std::uint64_t seed) {
   s.requests_per_user = 4;
   s.seed = seed;
   return s;
-}
-
-RunRecord cache_record(const std::string& section, const std::string& policy,
-                       double capacity_frac, const CacheScenario& sc,
-                       const CacheRunStats& r, double seconds) {
-  RunRecord rec;
-  rec.set("section", section);
-  rec.set("policy", policy);
-  rec.set("capacity_frac", capacity_frac);
-  rec.set("capacity_bytes", static_cast<std::uint64_t>(sc.cache.capacity_bytes));
-  rec.set("contents", static_cast<std::uint64_t>(sc.catalog.contents));
-  rec.set("alpha", sc.catalog.alpha);
-  rec.set("k", static_cast<std::uint64_t>(sc.catalog.k));
-  rec.set("symbol_bytes", static_cast<std::uint64_t>(sc.catalog.symbol_bytes));
-  rec.set("users", static_cast<std::uint64_t>(r.users));
-  rec.set("requests", r.requests);
-  rec.set("completed", r.completed);
-  rec.set("failed", r.failed);
-  rec.set("verify_failures", r.verify_failures);
-  rec.set("full_hits", r.full_hits);
-  rec.set("partial_hits", r.partial_hits);
-  rec.set("misses", r.misses);
-  rec.set("hit_rate", r.hit_rate());
-  rec.set("full_hit_rate", r.full_hit_rate());
-  rec.set("head_hit_rate", r.head_hit_rate());
-  rec.set("offload", r.offload());
-  rec.set("symbols_from_edge", r.symbols_from_edge);
-  rec.set("symbols_from_source", r.symbols_from_source);
-  rec.set("edge_bytes", r.edge_bytes);
-  rec.set("backhaul_bytes", r.backhaul_bytes);
-  rec.set("fill_bytes", r.fill_bytes);
-  rec.set("evicted_entries", r.evicted_entries);
-  rec.set("replacements", r.replacements);
-  rec.set("cache_bytes_used", r.cache_bytes_used);
-  rec.set("latency_p50", r.latency_p50);
-  rec.set("latency_p99", r.latency_p99);
-  rec.set("latency_samples", r.latency_samples);
-  rec.set("seconds", seconds);
-  return rec;
 }
 
 struct CurvePoint {
@@ -186,7 +148,7 @@ int main(int argc, char** argv) {
     event_curve.push_back({frac, r.hit_rate(), r.offload(), r.backhaul_bytes});
     if (frac == 1.0) head_at_ws = r.head_hit_rate();
     records.push_back(
-        cache_record("event", "popularity", frac, cfg.scenario, r, seconds));
+        cache_run_record("event", frac, cfg.scenario, r, seconds));
   }
   curves_ok = check_monotone("event", event_curve) && curves_ok;
 
@@ -209,8 +171,7 @@ int main(int argc, char** argv) {
               << " offload=" << r.offload() << " backhaul=" << r.backhaul_bytes
               << " (" << seconds << "s)\n";
     udp_curve.push_back({frac, r.hit_rate(), r.offload(), r.backhaul_bytes});
-    records.push_back(
-        cache_record("udp", "popularity", frac, cfg.scenario, r, seconds));
+    records.push_back(cache_run_record("udp", frac, cfg.scenario, r, seconds));
   }
   curves_ok = check_monotone("udp", udp_curve) && curves_ok;
 
@@ -229,8 +190,7 @@ int main(int argc, char** argv) {
     std::cerr << "  sim loss=0.05: hit=" << r.hit_rate()
               << " completed=" << r.completed << "/" << r.requests << " ("
               << seconds << "s)\n";
-    records.push_back(
-        cache_record("sim", "popularity", 1.0, cfg.scenario, r, seconds));
+    records.push_back(cache_run_record("sim", 1.0, cfg.scenario, r, seconds));
   }
 
   // --- reactive policies at half the working set ---------------------------
@@ -248,8 +208,8 @@ int main(int argc, char** argv) {
     std::cerr << "  policy " << ltnc::cache::policy_name(policy)
               << ": hit=" << r.hit_rate() << " evicted=" << r.evicted_entries
               << " (" << seconds << "s)\n";
-    records.push_back(cache_record("policy", ltnc::cache::policy_name(policy),
-                                   0.5, cfg.scenario, r, seconds));
+    records.push_back(
+        cache_run_record("policy", 0.5, cfg.scenario, r, seconds));
   }
 
   std::ofstream out(out_path);

@@ -13,6 +13,9 @@
 //      loopback fan-out to 8 receiver sockets — the syscall amortization
 //      that motivates batching at all (target: ≥ 8 frames per call).
 //
+// The file is one flat array of records: a "shard_scaling" row per shard
+// count and one "udp_batch" row, each carrying the run's shape.
+//
 // Usage: endpoint_pipeline [--out=FILE] [--frames=N]
 #include <algorithm>
 #include <chrono>
@@ -30,6 +33,7 @@
 #include "common/rng.hpp"
 #include "harness/loopback.hpp"
 #include "lt/lt_encoder.hpp"
+#include "metrics/emitter.hpp"
 #include "net/udp_transport.hpp"
 #include "session/endpoint.hpp"
 #include "session/protocols.hpp"
@@ -73,14 +77,6 @@ class DecodeApp final : public session::ShardApp {
   }
 };
 
-struct ScalingPoint {
-  std::uint32_t shards = 0;
-  std::uint64_t frames = 0;
-  double seconds = 0.0;
-  double frames_per_sec = 0.0;
-  double speedup_vs_1 = 0.0;
-};
-
 /// Pre-serializes `total` LT-coded data frames cycling over the
 /// (peer, content) grid. Regenerated per run: routing swaps the pool's
 /// storage into the rings.
@@ -101,7 +97,8 @@ std::vector<wire::Frame> make_frame_pool(std::uint64_t total,
   return pool;
 }
 
-ScalingPoint run_scaling(std::uint32_t shards, std::uint64_t total_frames) {
+/// Seconds to route and decode `total_frames` through `shards` shards.
+double run_scaling(std::uint32_t shards, std::uint64_t total_frames) {
   std::vector<wire::Frame> pool = make_frame_pool(total_frames, 42);
 
   DecodeApp app;
@@ -121,14 +118,7 @@ ScalingPoint run_scaling(std::uint32_t shards, std::uint64_t total_frames) {
   }
   const auto stop = std::chrono::steady_clock::now();
   sharded.stop();
-
-  ScalingPoint point;
-  point.shards = shards;
-  point.frames = total_frames;
-  point.seconds = std::chrono::duration<double>(stop - start).count();
-  point.frames_per_sec =
-      static_cast<double>(total_frames) / point.seconds;
-  return point;
+  return std::chrono::duration<double>(stop - start).count();
 }
 
 struct BatchPoint {
@@ -232,20 +222,35 @@ int main(int argc, char** argv) {
             << " contents x " << kPeers << " peers ("
             << cores << " hardware threads)\n";
 
-  std::vector<ScalingPoint> curve;
+  // One flat array of records, each tagged with its section and the
+  // run's shape (the BENCH_cache layout).
+  auto record = [&](const char* section) {
+    return metrics::RunRecord{
+        {"section", section},
+        {"bench", "endpoint_pipeline"},
+        {"hardware_concurrency", std::uint64_t{cores}},
+        {"payload_bytes", kPayload},
+        {"contents", kContents},
+        {"peers", std::uint64_t{kPeers}}};
+  };
+  std::vector<metrics::RunRecord> records;
+  double frames_per_sec_1 = 0.0;
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    ScalingPoint point = run_scaling(shards, total_frames);
-    point.speedup_vs_1 = curve.empty()
-                             ? 1.0
-                             : curve.front().frames_per_sec == 0.0
-                                   ? 0.0
-                                   : point.frames_per_sec /
-                                         curve.front().frames_per_sec;
-    std::cout << "  shards=" << point.shards << ": "
-              << static_cast<std::uint64_t>(point.frames_per_sec)
-              << " frames/s (" << point.seconds << " s, speedup x"
-              << point.speedup_vs_1 << ")\n";
-    curve.push_back(point);
+    const double seconds = run_scaling(shards, total_frames);
+    const double frames_per_sec = static_cast<double>(total_frames) / seconds;
+    if (shards == 1) frames_per_sec_1 = frames_per_sec;
+    const double speedup =
+        frames_per_sec_1 == 0.0 ? 0.0 : frames_per_sec / frames_per_sec_1;
+    std::cout << "  shards=" << shards << ": "
+              << static_cast<std::uint64_t>(frames_per_sec) << " frames/s ("
+              << seconds << " s, speedup x" << speedup << ")\n";
+    metrics::RunRecord row = record("shard_scaling");
+    row.set("shards", std::uint64_t{shards});
+    row.set("frames", total_frames);
+    row.set("seconds", seconds);
+    row.set("frames_per_sec", frames_per_sec);
+    row.set("speedup_vs_1", speedup);
+    records.push_back(std::move(row));
   }
 
   const BatchPoint batch = run_batch_edge(total_frames / 4);
@@ -255,39 +260,20 @@ int main(int argc, char** argv) {
               << " frames/recvmmsg (batching "
               << (batch.batching_active ? "active" : "fallback") << ")\n";
   }
+  metrics::RunRecord row = record("udp_batch");
+  row.set("measured", batch.ok);
+  row.set("batching_active", batch.batching_active);
+  row.set("frames", batch.frames);
+  row.set("frames_per_send_call", batch.frames_per_send_call);
+  row.set("frames_per_recv_call", batch.frames_per_recv_call);
+  records.push_back(std::move(row));
 
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot write " << out_path << "\n";
     return 1;
   }
-  out << "{\n";
-  out << "  \"bench\": \"endpoint_pipeline\",\n";
-  out << "  \"hardware_concurrency\": " << cores << ",\n";
-  out << "  \"frames\": " << total_frames << ",\n";
-  out << "  \"payload_bytes\": " << kPayload << ",\n";
-  out << "  \"contents\": " << kContents << ",\n";
-  out << "  \"peers\": " << kPeers << ",\n";
-  out << "  \"shard_scaling\": [\n";
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    const ScalingPoint& p = curve[i];
-    out << "    {\"shards\": " << p.shards << ", \"seconds\": " << p.seconds
-        << ", \"frames_per_sec\": " << p.frames_per_sec
-        << ", \"speedup_vs_1\": " << p.speedup_vs_1 << "}"
-        << (i + 1 < curve.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"udp_batch\": {\n";
-  out << "    \"measured\": " << (batch.ok ? "true" : "false") << ",\n";
-  out << "    \"batching_active\": "
-      << (batch.batching_active ? "true" : "false") << ",\n";
-  out << "    \"frames\": " << batch.frames << ",\n";
-  out << "    \"frames_per_send_call\": " << batch.frames_per_send_call
-      << ",\n";
-  out << "    \"frames_per_recv_call\": " << batch.frames_per_recv_call
-      << "\n";
-  out << "  }\n";
-  out << "}\n";
+  metrics::write_json(out, records);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

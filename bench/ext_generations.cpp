@@ -7,9 +7,9 @@
 // (each generation pays its own LT overhead and the coupon-collector cost
 // of hitting the last incomplete generation).
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "core/generations.hpp"
 #include "lt/lt_encoder.hpp"
 
@@ -71,31 +71,25 @@ int main(int argc, char** argv) {
   constexpr std::size_t m = 64;
 
   bench::print_header(
+      args,
       "Extension: generations over LTNC (header size vs coding efficiency)",
       "K = " + std::to_string(total) + " blocks, m = " + std::to_string(m) +
           " B, source->relay->sink pipeline");
 
-  TextTable table({"generations", "code vector B", "pkts to sink",
-                   "decode ctrl ops", "complete"});
+  std::vector<metrics::RunRecord> table;
   for (const std::size_t g : {std::size_t{1}, std::size_t{4}, std::size_t{16},
                               std::size_t{64}}) {
     if (total % g != 0) continue;
     const RunResult r = run(total, g, m, args.seed);
-    table.add_row({TextTable::integer(static_cast<long long>(g)),
-                   TextTable::integer(static_cast<long long>(
-                       (total / g + 7) / 8)),
-                   TextTable::integer(
-                       static_cast<long long>(r.packets_to_sink)),
-                   TextTable::integer(
-                       static_cast<long long>(r.decode_ctrl_ops)),
-                   r.ok ? "yes" : "NO"});
+    table.push_back({{"generations", g},
+                     {"code vector B", (total / g + 7) / 8},
+                     {"pkts to sink", r.packets_to_sink},
+                     {"decode ctrl ops", r.decode_ctrl_ops},
+                     {"complete", r.ok ? "yes" : "NO"}});
   }
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  std::cout << "\nexpected: headers and decode control shrink with G while "
-               "the packets needed grow (per-generation LT overhead).\n";
+  bench::emit(args, table);
+  bench::prose(args) << "\nexpected: headers and decode control shrink with "
+                        "G while the packets needed grow (per-generation LT "
+                        "overhead).\n";
   return 0;
 }

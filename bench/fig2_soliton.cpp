@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "lt/soliton.hpp"
 
 int main(int argc, char** argv) {
@@ -20,12 +19,11 @@ int main(int argc, char** argv) {
   const auto ideal = lt::ideal_soliton_weights(k);
 
   bench::print_header(
-      "Figure 2: Robust Soliton degree distribution",
-      "k = " + std::to_string(k) + ", c = " + TextTable::num(params.c, 2) +
-          ", delta = " + TextTable::num(params.delta, 2) +
-          ", spike R = " + TextTable::num(rs.ripple(), 1));
+      args, "Figure 2: Robust Soliton degree distribution",
+      "k = " + std::to_string(k) + ", c = " + metrics::fixed(params.c, 2) +
+          ", delta = " + metrics::fixed(params.delta, 2) +
+          ", spike R = " + metrics::fixed(rs.ripple(), 1));
 
-  TextTable table({"degree", "ideal rho(d)", "robust mu(d)"});
   auto sci = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3e", v);
@@ -43,24 +41,22 @@ int main(int argc, char** argv) {
   degrees.push_back(k);
   std::sort(degrees.begin(), degrees.end());
   degrees.erase(std::unique(degrees.begin(), degrees.end()), degrees.end());
+  std::vector<metrics::RunRecord> table;
   for (std::size_t d : degrees) {
     if (d < 1 || d > k) continue;
-    table.add_row({TextTable::integer(static_cast<long long>(d)),
-                   sci(ideal[d - 1]), sci(rs.probability(d))});
+    table.push_back({{"degree", d},
+                     {"ideal rho(d)", sci(ideal[d - 1])},
+                     {"robust mu(d)", sci(rs.probability(d))}});
   }
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::emit(args, table);
 
   double mass12 = rs.probability(1) + rs.probability(2);
-  std::cout << "\nmass at degree 1-2: " << TextTable::num(100 * mass12, 1)
-            << "% (paper: 'more than 50% of degree 1 or 2' incl. degree 3: "
-            << TextTable::num(100 * (mass12 + rs.probability(3)), 1)
-            << "%)\n";
-  std::cout << "mean degree: " << TextTable::num(rs.mean_degree(), 2)
-            << " (Theta(log k), log k = "
-            << TextTable::num(std::log(static_cast<double>(k)), 2) << ")\n";
+  bench::prose(args)
+      << "\nmass at degree 1-2: " << metrics::fixed(100 * mass12, 1)
+      << "% (paper: 'more than 50% of degree 1 or 2' incl. degree 3: "
+      << metrics::fixed(100 * (mass12 + rs.probability(3)), 1) << "%)\n"
+      << "mean degree: " << metrics::fixed(rs.mean_degree(), 2)
+      << " (Theta(log k), log k = "
+      << metrics::fixed(std::log(static_cast<double>(k)), 2) << ")\n";
   return 0;
 }

@@ -6,9 +6,9 @@
 // Expected shape: RLNC fastest, LTNC close behind, WC far slower — the
 // benefit of coding is preserved.
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "metrics/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const std::size_t runs = args.runs != 0 ? args.runs : (args.full ? 25 : 3);
 
   bench::print_header(
+      args,
       "Figure 7a: convergence (fraction of complete nodes vs gossip period)",
       "N = " + std::to_string(cfg.num_nodes) + ", k = " + std::to_string(cfg.k) +
           ", m = " + std::to_string(cfg.payload_bytes) + " B (sim), runs = " +
@@ -47,34 +48,33 @@ int main(int argc, char** argv) {
     return i < trace.size() ? trace[i] : trace.back();
   };
 
-  TextTable table({"time", "WC %", "LTNC %", "RLNC %"});
+  std::vector<metrics::RunRecord> table;
   for (std::size_t i = 0; i < longest + step; i += step) {
     const std::size_t t = std::min(i, longest - 1);
-    table.add_row({TextTable::integer(static_cast<long long>(t + 1)),
-                   TextTable::num(100 * at(wc.convergence_trace, t), 1),
-                   TextTable::num(100 * at(ltnc.convergence_trace, t), 1),
-                   TextTable::num(100 * at(rlnc.convergence_trace, t), 1)});
+    table.push_back(
+        {{"time", t + 1},
+         {"WC %", metrics::fixed(100 * at(wc.convergence_trace, t), 1)},
+         {"LTNC %", metrics::fixed(100 * at(ltnc.convergence_trace, t), 1)},
+         {"RLNC %", metrics::fixed(100 * at(rlnc.convergence_trace, t), 1)}});
     if (t + 1 >= longest) break;
   }
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::emit(args, table);
 
-  TextTable summary(
-      {"scheme", "mean completion", "rounds to all-complete", "verified"});
+  std::vector<metrics::RunRecord> summary;
   auto row = [&](const char* name, const metrics::MonteCarloResult& r) {
-    summary.add_row({name, TextTable::num(r.mean_completion.mean(), 1),
-                     TextTable::num(r.rounds_to_finish.mean(), 1),
-                     r.payloads_verified ? "yes" : "NO"});
+    summary.push_back(
+        {{"scheme", name},
+         {"mean completion", metrics::fixed(r.mean_completion.mean(), 1)},
+         {"rounds to all-complete",
+          metrics::fixed(r.rounds_to_finish.mean(), 1)},
+         {"verified", r.payloads_verified ? "yes" : "NO"}});
   };
   row("WC", wc);
   row("LTNC", ltnc);
   row("RLNC", rlnc);
-  std::cout << "\n";
-  summary.print(std::cout);
-  std::cout << "\npaper shape: RLNC fastest, LTNC slightly behind (~ +30% at "
-               "k=2048), WC far slower.\n";
+  bench::prose(args) << "\n";
+  metrics::write_table(bench::prose(args), summary);
+  bench::prose(args) << "\npaper shape: RLNC fastest, LTNC slightly behind "
+                        "(~ +30% at k=2048), WC far slower.\n";
   return 0;
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "metrics/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -28,11 +27,11 @@ int main(int argc, char** argv) {
   if (args.k != 0) ks = {args.k};
 
   bench::print_header(
-      "Figure 7b: average time to complete vs code length",
+      args, "Figure 7b: average time to complete vs code length",
       "N = " + std::to_string(nodes) + ", runs = " + std::to_string(runs) +
           (args.full ? " [paper scale]" : " [default scale; --full for paper]"));
 
-  TextTable table({"k", "WC", "LTNC", "RLNC", "LTNC/RLNC"});
+  std::vector<metrics::RunRecord> table;
   for (const std::size_t k : ks) {
     dissem::SimConfig cfg;
     cfg.num_nodes = nodes;
@@ -44,24 +43,19 @@ int main(int argc, char** argv) {
     const auto wc = metrics::run_monte_carlo(Scheme::kWc, cfg, runs);
     const auto ltnc = metrics::run_monte_carlo(Scheme::kLtnc, cfg, runs);
     const auto rlnc = metrics::run_monte_carlo(Scheme::kRlnc, cfg, runs);
-    table.add_row(
-        {TextTable::integer(static_cast<long long>(k)),
-         TextTable::num(wc.mean_completion.mean(), 1),
-         TextTable::num(ltnc.mean_completion.mean(), 1),
-         TextTable::num(rlnc.mean_completion.mean(), 1),
-         TextTable::num(
-             ltnc.mean_completion.mean() /
-                 (rlnc.mean_completion.mean() > 0
-                      ? rlnc.mean_completion.mean()
-                      : 1.0),
-             3)});
+    const double rlnc_mean = rlnc.mean_completion.mean();
+    table.push_back(
+        {{"k", k},
+         {"WC", metrics::fixed(wc.mean_completion.mean(), 1)},
+         {"LTNC", metrics::fixed(ltnc.mean_completion.mean(), 1)},
+         {"RLNC", metrics::fixed(rlnc_mean, 1)},
+         {"LTNC/RLNC",
+          metrics::fixed(ltnc.mean_completion.mean() /
+                             (rlnc_mean > 0 ? rlnc_mean : 1.0),
+                         3)}});
   }
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  std::cout << "\npaper shape: WC slowest by far; LTNC within ~1.3x of RLNC, "
-               "ratio shrinking with k.\n";
+  bench::emit(args, table);
+  bench::prose(args) << "\npaper shape: WC slowest by far; LTNC within ~1.3x "
+                        "of RLNC, ratio shrinking with k.\n";
   return 0;
 }

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "metrics/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -31,12 +30,11 @@ int main(int argc, char** argv) {
   if (args.k != 0) ks = {args.k};
 
   bench::print_header(
-      "Figure 7c: communication overhead vs code length",
+      args, "Figure 7c: communication overhead vs code length",
       "N = " + std::to_string(nodes) + ", runs = " + std::to_string(runs) +
           (args.full ? " [paper scale]" : " [default scale; --full for paper]"));
 
-  TextTable table({"k", "LTNC overhead %", "WC %", "RLNC %",
-                   "LTNC abort rate %"});
+  std::vector<metrics::RunRecord> table;
   for (const std::size_t k : ks) {
     dissem::SimConfig cfg;
     cfg.num_nodes = nodes;
@@ -48,18 +46,16 @@ int main(int argc, char** argv) {
     const auto ltnc = metrics::run_monte_carlo(Scheme::kLtnc, cfg, runs);
     const auto wc = metrics::run_monte_carlo(Scheme::kWc, cfg, runs);
     const auto rlnc = metrics::run_monte_carlo(Scheme::kRlnc, cfg, runs);
-    table.add_row({TextTable::integer(static_cast<long long>(k)),
-                   TextTable::num(100 * ltnc.overhead.mean(), 1),
-                   TextTable::num(100 * wc.overhead.mean(), 2),
-                   TextTable::num(100 * rlnc.overhead.mean(), 2),
-                   TextTable::num(100 * ltnc.abort_rate.mean(), 1)});
+    table.push_back(
+        {{"k", k},
+         {"LTNC overhead %", metrics::fixed(100 * ltnc.overhead.mean(), 1)},
+         {"WC %", metrics::fixed(100 * wc.overhead.mean(), 2)},
+         {"RLNC %", metrics::fixed(100 * rlnc.overhead.mean(), 2)},
+         {"LTNC abort rate %",
+          metrics::fixed(100 * ltnc.abort_rate.mean(), 1)}});
   }
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  std::cout << "\npaper shape: LTNC ~20% at k = 2048, decreasing with k; "
-               "WC and RLNC exactly 0.\n";
+  bench::emit(args, table);
+  bench::prose(args) << "\npaper shape: LTNC ~20% at k = 2048, decreasing "
+                        "with k; WC and RLNC exactly 0.\n";
   return 0;
 }

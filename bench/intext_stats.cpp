@@ -5,9 +5,10 @@
 //   §III-B.3  relative σ of native-packet occurrences 0.1 %
 //   §III-C.1  redundancy detection removes 31 % of redundant insertions
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "common/table.hpp"
 #include "metrics/experiment.hpp"
 
 int main(int argc, char** argv) {
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
   const std::size_t runs = args.runs != 0 ? args.runs : (args.full ? 25 : 3);
 
   bench::print_header(
-      "In-text statistics of LTNC's recoding machinery (paper §III)",
+      args, "In-text statistics of LTNC's recoding machinery (paper §III)",
       "N = " + std::to_string(cfg.num_nodes) +
           ", k = " + std::to_string(cfg.k) + ", runs = " +
           std::to_string(runs) +
@@ -43,26 +44,28 @@ int main(int argc, char** argv) {
           ? 1.0 - ltnc.overhead.mean() / no_red.overhead.mean()
           : 0.0;
 
-  TextTable table({"statistic", "paper", "measured"});
-  table.add_row({"first degree accepted", "99.9%",
-                 TextTable::num(100 * ltnc.degree_first_accept_rate, 2) + "%"});
-  table.add_row({"avg draws when retried", "1.02 retries",
-                 TextTable::num(ltnc.degree_mean_retries, 2) + " retries"});
-  table.add_row({"build reaches target degree", "95%",
-                 TextTable::num(100 * ltnc.build_target_rate, 1) + "%"});
-  table.add_row({"mean relative degree deviation", "0.2%",
-                 TextTable::num(100 * ltnc.build_mean_relative_deviation, 2) +
-                     "%"});
-  table.add_row({"occurrence relative stddev", "0.1%",
-                 TextTable::num(100 * ltnc.occurrence_rel_stddev, 2) + "%"});
-  table.add_row({"redundant insertions removed", "31%",
-                 TextTable::num(100 * reduction, 1) + "%"});
-  if (args.csv) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
-  std::cout << "\nnote: paper values were measured at N = 1000, k = 2048, "
-               "25 runs; small scales inflate the variance statistics.\n";
+  std::vector<metrics::RunRecord> table;
+  auto row = [&](const char* statistic, const char* paper,
+                 std::string measured) {
+    table.push_back({{"statistic", statistic},
+                     {"paper", paper},
+                     {"measured", std::move(measured)}});
+  };
+  row("first degree accepted", "99.9%",
+      metrics::fixed(100 * ltnc.degree_first_accept_rate, 2) + "%");
+  row("avg draws when retried", "1.02 retries",
+      metrics::fixed(ltnc.degree_mean_retries, 2) + " retries");
+  row("build reaches target degree", "95%",
+      metrics::fixed(100 * ltnc.build_target_rate, 1) + "%");
+  row("mean relative degree deviation", "0.2%",
+      metrics::fixed(100 * ltnc.build_mean_relative_deviation, 2) + "%");
+  row("occurrence relative stddev", "0.1%",
+      metrics::fixed(100 * ltnc.occurrence_rel_stddev, 2) + "%");
+  row("redundant insertions removed", "31%",
+      metrics::fixed(100 * reduction, 1) + "%");
+  bench::emit(args, table);
+  bench::prose(args) << "\nnote: paper values were measured at N = 1000, "
+                        "k = 2048, 25 runs; small scales inflate the variance "
+                        "statistics.\n";
   return 0;
 }

@@ -30,7 +30,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,8 +59,7 @@ long peak_rss_kb() {
   return usage.ru_maxrss;  // KiB on Linux
 }
 
-/// One sweep point, run to completion in *this* process. Returns the
-/// record (without splicing) for the given n.
+/// One sweep point, run to completion in *this* process.
 metrics::RunRecord run_point(std::size_t n, std::uint64_t seed) {
   const dissem::SimConfig cfg = scaling_config(n, seed);
   dissem::EventSimulation sim(session::Scheme::kLtnc, cfg,
@@ -71,7 +69,7 @@ metrics::RunRecord run_point(std::size_t n, std::uint64_t seed) {
   const auto stop = std::chrono::steady_clock::now();
   const double seconds = std::chrono::duration<double>(stop - start).count();
 
-  metrics::RunRecord record = metrics::sim_run_record(result);
+  metrics::RunRecord record = dissem::sim_run_record(result);
   record.set("engine", std::string("event-scale"));
   record.set("seconds", seconds);
   record.set("events_processed", sim.events_processed());
@@ -83,19 +81,9 @@ metrics::RunRecord run_point(std::size_t n, std::uint64_t seed) {
   return record;
 }
 
-/// Renders a record as a standalone JSON object line (the emitter writes
-/// arrays; the parent splices child objects into one array).
-std::string record_as_json_object(const metrics::RunRecord& record) {
-  std::ostringstream out;
-  metrics::write_json(out, {record});
-  const std::string array = out.str();
-  const std::size_t open = array.find('{');
-  const std::size_t close = array.rfind('}');
-  return array.substr(open, close - open + 1);
-}
-
-/// Forks a child that runs one sweep point and writes its record through
-/// a pipe — ru_maxrss then measures exactly that point's footprint.
+/// Forks a child that runs one sweep point and writes its record, as one
+/// JSON object, through a pipe — ru_maxrss then measures exactly that
+/// point's footprint.
 std::string run_point_forked(std::size_t n, std::uint64_t seed) {
   int fds[2];
   if (pipe(fds) != 0) {
@@ -107,11 +95,11 @@ std::string run_point_forked(std::size_t n, std::uint64_t seed) {
     std::cerr << "fork failed; running n=" << n << " in-process\n";
     close(fds[0]);
     close(fds[1]);
-    return record_as_json_object(run_point(n, seed));
+    return metrics::json_object(run_point(n, seed));
   }
   if (pid == 0) {
     close(fds[0]);
-    const std::string json = record_as_json_object(run_point(n, seed));
+    const std::string json = metrics::json_object(run_point(n, seed));
     std::size_t off = 0;
     while (off < json.size()) {
       const ssize_t w =
@@ -166,7 +154,7 @@ std::string run_speedup_point(std::size_t n, std::uint64_t seed) {
   record.set("event_rounds", static_cast<std::uint64_t>(event.rounds_run));
   record.set("speedup", lock_s / event_s);
   record.set("both_complete", lock.all_complete && event.all_complete);
-  return record_as_json_object(record);
+  return metrics::json_object(record);
 }
 
 }  // namespace
@@ -217,11 +205,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot open " << out_path << "\n";
     return 1;
   }
-  out << "[\n";
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    out << "  " << objects[i] << (i + 1 < objects.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
+  metrics::write_json_objects(out, objects);
   std::cout << "wrote " << out_path << "\n";
   return 0;
 }

@@ -56,34 +56,6 @@ StreamConfig sim_stream_shape(std::uint64_t blocks, std::uint64_t seed) {
   return s;
 }
 
-RunRecord base_record(const std::string& section, double loss,
-                      const StreamConfig& stream, const StreamRunStats& r,
-                      double seconds) {
-  RunRecord rec;
-  rec.set("section", section);
-  rec.set("loss", loss);
-  rec.set("receivers", static_cast<std::uint64_t>(r.receivers));
-  rec.set("blocks", r.blocks);
-  rec.set("k", static_cast<std::uint64_t>(stream.k()));
-  rec.set("block_bytes", static_cast<std::uint64_t>(stream.block_bytes));
-  rec.set("deadline_ticks", static_cast<std::uint64_t>(stream.deadline_ticks));
-  rec.set("completed", r.completed);
-  rec.set("missed", r.missed);
-  rec.set("miss_rate", r.miss_rate());
-  rec.set("verify_failures", r.verify_failures);
-  rec.set("latency_p50", r.latency_p50);
-  rec.set("latency_p99", r.latency_p99);
-  rec.set("latency_p999", r.latency_p999);
-  rec.set("latency_samples", r.latency_samples);
-  rec.set("goodput_bytes", r.goodput_bytes);
-  rec.set("source_frames", r.source_frames);
-  rec.set("expired_frames", r.expired_frames);
-  rec.set("duration_ticks", r.duration_ticks);
-  rec.set("every_receiver_decoded", r.every_receiver_decoded);
-  rec.set("seconds", seconds);
-  return rec;
-}
-
 /// The bench's acceptance claims, checked row by row (sweeps run in
 /// ascending loss order).
 class Claims {
@@ -125,7 +97,8 @@ RunRecord timed(Fn&& fn, const std::string& section, double loss,
   const StreamRunStats r = fn();
   const auto stop = std::chrono::steady_clock::now();
   const double seconds = std::chrono::duration<double>(stop - start).count();
-  RunRecord rec = base_record(section, loss, stream, r, seconds);
+  RunRecord rec =
+      ltnc::stream::stream_run_record(section, loss, stream, r, seconds);
   claims.check(section, loss, r);
   std::cerr << "  " << section << " loss=" << loss << ": miss_rate="
             << r.miss_rate() << " p50=" << r.latency_p50

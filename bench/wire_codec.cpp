@@ -43,7 +43,7 @@ void BM_SerializeCodedPacket(benchmark::State& state) {
   const CodedPacket packet = make_packet(degree, payload_bytes, 11);
   wire::Frame frame;
   for (auto _ : state) {
-    wire::serialize(packet, frame);
+    wire::serialize(ContentId{0}, packet, frame);
     benchmark::DoNotOptimize(frame.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -56,11 +56,12 @@ void BM_DeserializeCodedPacket(benchmark::State& state) {
   const auto degree = static_cast<std::size_t>(state.range(1));
   const CodedPacket packet = make_packet(degree, payload_bytes, 13);
   wire::Frame frame;
-  wire::serialize(packet, frame);
+  wire::serialize(ContentId{0}, packet, frame);
+  ContentId content = 0;
   CodedPacket decoded;
   for (auto _ : state) {
     const wire::DecodeStatus status =
-        wire::deserialize(frame.bytes(), decoded);
+        wire::deserialize(frame.bytes(), content, decoded);
     if (status != wire::DecodeStatus::kOk) state.SkipWithError("bad frame");
     benchmark::DoNotOptimize(decoded.payload.words());
   }
@@ -73,11 +74,12 @@ void BM_RoundTripCodedPacket(benchmark::State& state) {
   const auto degree = static_cast<std::size_t>(state.range(1));
   const CodedPacket packet = make_packet(degree, payload_bytes, 17);
   wire::Frame frame;
+  ContentId content = 0;
   CodedPacket decoded;
   for (auto _ : state) {
-    wire::serialize(packet, frame);
+    wire::serialize(ContentId{0}, packet, frame);
     const wire::DecodeStatus status =
-        wire::deserialize(frame.bytes(), decoded);
+        wire::deserialize(frame.bytes(), content, decoded);
     if (status != wire::DecodeStatus::kOk) state.SkipWithError("bad frame");
     benchmark::DoNotOptimize(decoded.payload.words());
   }
@@ -105,7 +107,7 @@ void BM_CodedPacketFrameSize(benchmark::State& state) {
   const CodedPacket packet = make_packet(degree, 0, 19);
   wire::Frame frame;
   for (auto _ : state) {
-    wire::serialize(packet, frame);
+    wire::serialize(ContentId{0}, packet, frame);
     benchmark::DoNotOptimize(frame.data());
   }
   state.counters["dense_bytes"] = static_cast<double>(
@@ -135,7 +137,7 @@ void BM_ContentIdOverhead(benchmark::State& state) {
     wire::serialize(cid, packet, frame);
     benchmark::DoNotOptimize(frame.data());
   }
-  const std::size_t base = wire::serialized_size(packet);
+  const std::size_t base = wire::serialized_size(ContentId{0}, packet);
   state.counters["frame_bytes"] = static_cast<double>(frame.size());
   state.counters["cid_overhead_bytes"] =
       static_cast<double>(frame.size() - base);
@@ -147,7 +149,8 @@ void BM_SerializeFeedback(benchmark::State& state) {
   wire::Frame frame;
   std::uint64_t token = 0;
   for (auto _ : state) {
-    wire::serialize_feedback(wire::MessageType::kAbort, ++token, frame);
+    wire::serialize_feedback(ContentId{0}, wire::MessageType::kAbort, ++token,
+                             frame);
     benchmark::DoNotOptimize(frame.data());
   }
 }
@@ -161,7 +164,7 @@ void BM_SerializeCcArray(benchmark::State& state) {
   }
   wire::Frame frame;
   for (auto _ : state) {
-    wire::serialize_cc(leaders, frame);
+    wire::serialize_cc(ContentId{0}, leaders, frame);
     benchmark::DoNotOptimize(frame.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -15,6 +15,7 @@
 //
 // Exits nonzero unless every request completed and verified — the CI
 // smoke contract.
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -124,6 +125,7 @@ int main(int argc, char** argv) {
             << ", capacity " << sc.cache.capacity_bytes << "/" << ws
             << " bytes, driver " << driver << "\n";
 
+  const auto start = std::chrono::steady_clock::now();
   ltnc::cache::CacheRunStats r;
   if (driver == "event") {
     ltnc::cache::EventCacheConfig cfg;
@@ -143,21 +145,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::cout << "  requests " << r.requests << ", completed " << r.completed
-            << ", failed " << r.failed << ", verify failures "
-            << r.verify_failures << "\n";
-  std::cout << "  hits: full " << r.full_hits << ", partial "
-            << r.partial_hits << ", miss " << r.misses << "  (hit rate "
-            << r.hit_rate() << ", head " << r.head_hit_rate() << ")\n";
-  std::cout << "  offload " << r.offload() << ": " << r.symbols_from_edge
-            << " edge / " << r.symbols_from_source << " source symbols, "
-            << r.backhaul_bytes << " backhaul bytes, " << r.fill_bytes
-            << " fill bytes\n";
-  std::cout << "  cache: " << r.cache_bytes_used << " bytes used, "
-            << r.evicted_entries << " evictions, " << r.replacements
-            << " churn replacements\n";
-  std::cout << "  latency p50 " << r.latency_p50 << " p99 " << r.latency_p99
-            << " (" << r.latency_samples << " samples)\n";
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  // The same record bench/edge_cache writes, with the driver as section.
+  ltnc::metrics::write_table(
+      std::cout,
+      ltnc::cache::cache_run_record(driver, capacity_frac, sc, r, seconds));
 
   if (!prom_path.empty()) {
     std::ofstream out(prom_path, std::ios::trunc);

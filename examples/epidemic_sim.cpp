@@ -1,7 +1,7 @@
 // Command-line driver for the epidemic dissemination simulator — the tool
 // a downstream user reaches for to explore the design space without
 // writing code: any scheme, any scale, feedback modes, loss, churn and
-// wireless overhearing, with a one-screen result summary.
+// wireless overhearing, with the run's record as a one-screen summary.
 //
 //   ./build/examples/epidemic_sim --scheme=ltnc --nodes=200 --k=512
 //   ./build/examples/epidemic_sim --scheme=rlnc --loss=0.2 --churn=0.05
@@ -15,8 +15,8 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <vector>
 
-#include "common/table.hpp"
 #include "dissemination/event_engine.hpp"
 #include "dissemination/simulation.hpp"
 #include "metrics/emitter.hpp"
@@ -266,16 +266,15 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
+  metrics::RunRecord record = dissem::sim_run_record(res);
+  record.set("engine", engine);
   if (!metrics_path.empty()) {
-    metrics::RunRecord record = metrics::sim_run_record(res);
-    record.set("engine", engine);
     std::ofstream out(metrics_path);
     if (!out) {
       std::cerr << "cannot open " << metrics_path << "\n";
       return 1;
     }
-    if (metrics_path.size() >= 4 &&
-        metrics_path.compare(metrics_path.size() - 4, 4, ".csv") == 0) {
+    if (metrics_path.ends_with(".csv")) {
       metrics::write_csv(out, {record});
     } else {
       metrics::write_json(out, {record});
@@ -283,55 +282,17 @@ int main(int argc, char** argv) {
   }
 
   if (trace) {
-    TextTable t({"round", "complete %"});
+    std::vector<metrics::RunRecord> rows;
     const std::size_t step =
         std::max<std::size_t>(1, res.convergence_trace.size() / 20);
     for (std::size_t i = 0; i < res.convergence_trace.size(); i += step) {
-      t.add_row({TextTable::integer(static_cast<long long>(i + 1)),
-                 TextTable::num(100 * res.convergence_trace[i], 1)});
+      rows.push_back(
+          {{"round", i + 1},
+           {"complete %", metrics::fixed(100 * res.convergence_trace[i], 1)}});
     }
-    t.print(std::cout);
+    metrics::write_table(std::cout, rows);
   }
 
-  TextTable summary({"metric", "value"});
-  summary.add_row({"all nodes complete", res.all_complete ? "yes" : "NO"});
-  summary.add_row({"rounds run",
-                   TextTable::integer(static_cast<long long>(res.rounds_run))});
-  summary.add_row({"mean completion round",
-                   TextTable::num(res.mean_completion(), 1)});
-  summary.add_row({"communication overhead",
-                   TextTable::num(100 * res.overhead(), 1) + "%"});
-  summary.add_row({"transfers attempted / aborted / lost",
-                   TextTable::integer(static_cast<long long>(
-                       res.traffic.attempts)) + " / " +
-                       TextTable::integer(static_cast<long long>(
-                           res.traffic.aborted)) + " / " +
-                       TextTable::integer(static_cast<long long>(
-                           res.traffic.lost))});
-  summary.add_row({"payload bytes on the wire",
-                   TextTable::integer(static_cast<long long>(
-                       res.traffic.payload_bytes))});
-  summary.add_row({"session advertises / vetoes (endpoints)",
-                   TextTable::integer(static_cast<long long>(
-                       res.sessions.advertises_received)) + " / " +
-                       TextTable::integer(static_cast<long long>(
-                           res.sessions.aborts_sent))});
-  summary.add_row({"nodes churned",
-                   TextTable::integer(static_cast<long long>(
-                       res.nodes_churned))});
-  summary.add_row({"useful overheard packets",
-                   TextTable::integer(static_cast<long long>(
-                       res.overheard_useful))});
-  summary.add_row(
-      {"decode control ops (total)",
-       TextTable::integer(static_cast<long long>(
-           res.decode_ops.control_total()))});
-  summary.add_row(
-      {"recode control ops (total)",
-       TextTable::integer(static_cast<long long>(
-           res.recode_ops.control_total()))});
-  summary.add_row({"payloads verified",
-                   res.payloads_verified ? "yes" : "NO"});
-  summary.print(std::cout);
+  metrics::write_table(std::cout, record);
   return res.all_complete && res.payloads_verified ? 0 : 1;
 }

@@ -64,10 +64,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/table.hpp"
 #include "dissemination/simulation.hpp"
 #include "harness/loopback.hpp"
 #include "lt/lt_encoder.hpp"
+#include "metrics/emitter.hpp"
 #include "net/udp_transport.hpp"
 #include "session/endpoint.hpp"
 #include "session/sharded.hpp"
@@ -798,26 +798,27 @@ int run_swarm_comparison(std::size_t peers, std::size_t blocks,
   std::cout << "Distributing a file of " << blocks << " blocks to " << peers
             << " peers (push gossip, binary feedback channel)\n\n";
 
-  TextTable table({"scheme", "all peers done (rounds)", "overhead %",
-                   "wire MB (measured)", "decode ctrl ops/peer",
-                   "verified"});
+  std::vector<metrics::RunRecord> table;
   for (const Scheme scheme : schemes) {
     const dissem::SimResult res = dissem::run_simulation(scheme, cfg);
     const double n = static_cast<double>(peers);
-    table.add_row(
-        {session::scheme_name(scheme),
-         res.all_complete ? TextTable::integer(
-                                static_cast<long long>(res.rounds_run))
-                          : "did not finish",
-         TextTable::num(100 * res.overhead(), 1),
-         TextTable::num(static_cast<double>(res.traffic.wire_bytes_total()) /
-                            (1024.0 * 1024.0),
-                        2),
-         TextTable::num(
-             static_cast<double>(res.decode_ops.control_total()) / n, 0),
-         res.payloads_verified ? "yes" : "NO"});
+    table.push_back(
+        {{"scheme", session::scheme_name(scheme)},
+         {"all peers done (rounds)", res.all_complete
+                                         ? std::to_string(res.rounds_run)
+                                         : "did not finish"},
+         {"overhead %", metrics::fixed(100 * res.overhead(), 1)},
+         {"wire MB (measured)",
+          metrics::fixed(
+              static_cast<double>(res.traffic.wire_bytes_total()) /
+                  (1024.0 * 1024.0),
+              2)},
+         {"decode ctrl ops/peer",
+          metrics::fixed(
+              static_cast<double>(res.decode_ops.control_total()) / n, 0)},
+         {"verified", res.payloads_verified ? "yes" : "NO"}});
   }
-  table.print(std::cout);
+  metrics::write_table(std::cout, table);
   std::cout << "\nLTNC trades a little traffic for a decode cost low enough "
                "for sensor-class devices (paper's headline trade-off).\n"
                "Wire MB is measured through the frame codec, adaptive "

@@ -4,9 +4,9 @@
 // --fps, LT-encodes each block, and pushes symbols to N receivers under
 // an earliest-deadline-first budget; each receiver decodes, verifies and
 // scores every block against its --deadline-ms. Completion latencies
-// land in a telemetry registry (p50/p99/p999 printed at the end;
-// --prom writes the Prometheus exposition, --trace the sender endpoint's
-// Chrome trace).
+// land in a telemetry registry; the run's record (p50/p99/p999
+// included) is printed at the end, --prom writes the Prometheus
+// exposition, --trace the sender endpoint's Chrome trace.
 //
 //   ./build/examples/live_stream [receivers] [blocks]
 //       [--block-bytes N] [--symbol-bytes N] [--fps N] [--deadline-ms N]
@@ -15,6 +15,7 @@
 //
 // Exits nonzero unless every receiver decoded at least one block — the
 // CI smoke contract.
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -124,17 +125,16 @@ int main(int argc, char** argv) {
             << ") at " << fps << " fps, deadline " << deadline_ms
             << " ms, loss " << loss << (adaptive ? " (adaptive)" : "")
             << "\n";
+  const auto start = std::chrono::steady_clock::now();
   const ltnc::stream::StreamRunStats r = run_udp_stream(cfg);
-
-  const std::uint64_t finalized = r.completed + r.missed;
-  std::cout << "  blocks completed  " << r.completed << "/" << finalized
-            << "  (miss rate " << r.miss_rate() << ")\n"
-            << "  latency µs        p50 " << r.latency_p50 << "  p99 "
-            << r.latency_p99 << "  p999 " << r.latency_p999 << "\n"
-            << "  goodput           " << r.goodput_bytes << " B over "
-            << r.duration_ticks << " µs\n"
-            << "  source frames     " << r.source_frames << "  (late/expired "
-            << r.expired_frames << ")\n";
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  // The same record bench/stream_latency writes for its "udp" rows;
+  // latencies are in µs.
+  ltnc::metrics::write_table(
+      std::cout,
+      ltnc::stream::stream_run_record("udp", loss, cfg.stream, r, seconds));
 
   if (!prom_path.empty()) {
     std::ofstream out(prom_path, std::ios::trunc);

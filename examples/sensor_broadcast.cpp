@@ -8,9 +8,11 @@
 //   ./build/examples/sensor_broadcast [sensors] [packets]
 #include <cstdlib>
 #include <iostream>
+#include <string>
+#include <vector>
 
-#include "common/table.hpp"
 #include "dissemination/simulation.hpp"
+#include "metrics/emitter.hpp"
 
 int main(int argc, char** argv) {
   using namespace ltnc;
@@ -38,24 +40,23 @@ int main(int argc, char** argv) {
   // A generous MCU-class budget: ~10 M simple ops per second.
   constexpr double kMcuOpsPerSecond = 1e7;
 
-  TextTable table({"scheme", "rounds", "decode ops/node",
-                   "MCU decode time", "verified"});
+  std::vector<metrics::RunRecord> table;
   for (const Scheme scheme : {Scheme::kLtnc, Scheme::kRlnc}) {
     const dissem::SimResult res = dissem::run_simulation(scheme, cfg);
     const double ops_per_node =
         (static_cast<double>(res.decode_ops.control_total()) +
          static_cast<double>(res.decode_ops.data_word_ops)) /
         static_cast<double>(sensors);
-    table.add_row(
-        {session::scheme_name(scheme),
-         res.all_complete
-             ? TextTable::integer(static_cast<long long>(res.rounds_run))
-             : "did not finish",
-         TextTable::num(ops_per_node, 0),
-         TextTable::num(ops_per_node / kMcuOpsPerSecond, 2) + " s",
-         res.payloads_verified ? "yes" : "NO"});
+    table.push_back(
+        {{"scheme", session::scheme_name(scheme)},
+         {"rounds", res.all_complete ? std::to_string(res.rounds_run)
+                                     : "did not finish"},
+         {"decode ops/node", metrics::fixed(ops_per_node, 0)},
+         {"MCU decode time",
+          metrics::fixed(ops_per_node / kMcuOpsPerSecond, 2) + " s"},
+         {"verified", res.payloads_verified ? "yes" : "NO"}});
   }
-  table.print(std::cout);
+  metrics::write_table(std::cout, table);
   std::cout << "\nBelief propagation keeps the per-sensor decode budget "
                "milliseconds-scale; Gaussian elimination does not.\n";
   return 0;

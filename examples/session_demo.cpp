@@ -27,8 +27,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/table.hpp"
 #include "lt/lt_encoder.hpp"
+#include "metrics/emitter.hpp"
 #include "net/sim_channel.hpp"
 #include "session/endpoint.hpp"
 #include "store/content_store.hpp"
@@ -171,25 +171,21 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  TextTable table({"endpoint", "offers", "swarm picks", "pacer defers",
-                   "adv rtx", "vetoes rx", "data rx", "dup suppressed",
-                   "wire bytes"});
+  std::vector<metrics::RunRecord> table;
   const char* names[] = {"alice", "bob", "source"};
   for (std::size_t i = 0; i < 3; ++i) {
     const session::SessionStats& s = endpoints[i]->stats();
-    table.add_row(
-        {names[i],
-         TextTable::integer(static_cast<long long>(s.offers)),
-         TextTable::integer(static_cast<long long>(s.swarm_pushes)),
-         TextTable::integer(static_cast<long long>(s.pacer_deferrals)),
-         TextTable::integer(static_cast<long long>(s.advertise_retransmits)),
-         TextTable::integer(static_cast<long long>(s.aborts_received)),
-         TextTable::integer(static_cast<long long>(s.data_delivered)),
-         TextTable::integer(static_cast<long long>(s.duplicates_suppressed)),
-         TextTable::integer(
-             static_cast<long long>(s.bytes_sent + s.bytes_received))});
+    table.push_back({{"endpoint", names[i]},
+                     {"offers", s.offers},
+                     {"swarm picks", s.swarm_pushes},
+                     {"pacer defers", s.pacer_deferrals},
+                     {"adv rtx", s.advertise_retransmits},
+                     {"vetoes rx", s.aborts_received},
+                     {"data rx", s.data_delivered},
+                     {"dup suppressed", s.duplicates_suppressed},
+                     {"wire bytes", s.bytes_sent + s.bytes_received}});
   }
-  table.print(std::cout);
+  metrics::write_table(std::cout, table);
   std::cout << "\nEvery frame above crossed a lossy channel carrying its "
                "content id; the scheduler interleaved both contents and "
                "the pacer capped each node's push bursts.\n";

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/table.hpp"
 #include "core/ltnc_codec.hpp"
 #include "lt/bp_decoder.hpp"
 #include "lt/lt_encoder.hpp"

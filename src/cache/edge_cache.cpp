@@ -1,7 +1,6 @@
 #include "cache/edge_cache.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 
@@ -24,15 +23,6 @@ std::optional<Policy> policy_from_string(std::string_view name) {
   if (name == "lfu") return Policy::kLfu;
   if (name == "popularity") return Policy::kPopularity;
   return std::nullopt;
-}
-
-EdgeCache::EdgeCache(const EdgeCacheConfig& config) : cfg_(config) {
-  LTNC_CHECK_MSG(cfg_.full_overhead >= 0.0, "overhead cannot be negative");
-}
-
-std::size_t EdgeCache::full_symbol_cap(std::size_t k) const {
-  return static_cast<std::size_t>(
-      std::ceil(static_cast<double>(k) * (1.0 + cfg_.full_overhead)));
 }
 
 std::size_t EdgeCache::symbol_cost_estimate(std::size_t k,
@@ -86,7 +76,7 @@ void EdgeCache::plan() {
     for (Entry& e : entries_) e.quota = full_symbol_cap(e.k);
     return;
   }
-  // Waterfill in descending weight^γ order: each content takes
+  // Waterfill in descending weight order: each content takes
   // min(full cap, its proportional share of what is still unallocated),
   // so bytes the head cannot use (its cap is k-bounded) flow to the tail
   // instead of being stranded.
@@ -95,8 +85,7 @@ void EdgeCache::plan() {
   std::vector<double> scaled(entries_.size());
   double total = 0.0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    scaled[i] = std::pow(std::max(entries_[i].weight, 0.0),
-                         cfg_.popularity_exponent);
+    scaled[i] = std::max(entries_[i].weight, 0.0);
     total += scaled[i];
   }
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {

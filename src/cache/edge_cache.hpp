@@ -26,7 +26,7 @@
 //   kLfu         reactive: evict the least-requested entry (ties broken
 //                by recency).
 //   kPopularity  proactive: plan() waterfills per-content symbol quotas
-//                proportional to weight^γ (the paper's popularity-
+//                proportional to weight (the paper's popularity-
 //                weighted placement, normally computed off-peak);
 //                admission never exceeds quota and never evicts.
 #pragma once
@@ -55,15 +55,6 @@ struct EdgeCacheConfig {
   /// can never drift.
   std::size_t capacity_bytes = 1 << 20;
   Policy policy = Policy::kLru;
-  /// Cap on stored symbols per content as a fraction over k: an entry
-  /// never stores more than ceil(k·(1+full_overhead)) symbols. Sealing
-  /// usually happens earlier — the shadow decoder stops the fill the
-  /// moment the set is decodable — so this only bounds pathological
-  /// BP stalls on unlucky degree sequences.
-  double full_overhead = 1.0;
-  /// Popularity policy: quotas are proportional to weight^γ. γ > 1
-  /// concentrates capacity on the head, γ < 1 flattens toward uniform.
-  double popularity_exponent = 1.0;
 };
 
 struct CacheStats {
@@ -82,7 +73,7 @@ struct CacheStats {
 
 class EdgeCache {
  public:
-  explicit EdgeCache(const EdgeCacheConfig& config);
+  explicit EdgeCache(const EdgeCacheConfig& config) : cfg_(config) {}
   EdgeCache(const EdgeCache&) = delete;
   EdgeCache& operator=(const EdgeCache&) = delete;
 
@@ -95,7 +86,7 @@ class EdgeCache {
   bool forget(ContentId id);
   void set_weight(ContentId id, double weight);
   /// Recomputes per-content symbol quotas. Under kPopularity this is the
-  /// placement step: a single waterfill pass in descending weight^γ order
+  /// placement step: a single waterfill pass in descending weight order
   /// hands each content min(full cap, its capacity share), re-spreading
   /// what the head leaves unused to the tail; entries holding more than
   /// their new quota are dropped for refill. Under kLru/kLfu every quota
@@ -133,8 +124,11 @@ class EdgeCache {
   std::size_t bytes_used() const { return bytes_used_; }
   std::size_t capacity_bytes() const { return cfg_.capacity_bytes; }
   std::size_t entries() const { return entries_.size(); }
-  /// Per-content stored-symbol cap: ceil(k·(1+full_overhead)).
-  std::size_t full_symbol_cap(std::size_t k) const;
+  /// Per-content stored-symbol cap: 2k (a 100 % overhead over k).
+  /// Sealing usually happens earlier — the shadow decoder stops the fill
+  /// the moment the set is decodable — so this only bounds pathological
+  /// BP stalls on unlucky degree sequences.
+  static std::size_t full_symbol_cap(std::size_t k) { return 2 * k; }
   /// Planning estimate of one symbol's wire cost (header + dense code
   /// vector + payload). Accounting always uses the exact wire_bytes().
   static std::size_t symbol_cost_estimate(std::size_t k,

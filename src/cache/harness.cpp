@@ -780,4 +780,45 @@ CacheRunStats run_udp_cache(const UdpCacheConfig& config) {
   return out;
 }
 
+metrics::RunRecord cache_run_record(const std::string& section,
+                                    double capacity_frac,
+                                    const CacheScenario& sc,
+                                    const CacheRunStats& r, double seconds) {
+  metrics::RunRecord rec;
+  rec.set("section", section);
+  rec.set("policy", std::string(policy_name(sc.cache.policy)));
+  rec.set("capacity_frac", capacity_frac);
+  rec.set("capacity_bytes",
+          static_cast<std::uint64_t>(sc.cache.capacity_bytes));
+  rec.set("contents", static_cast<std::uint64_t>(sc.catalog.contents));
+  rec.set("alpha", sc.catalog.alpha);
+  rec.set("k", static_cast<std::uint64_t>(sc.catalog.k));
+  rec.set("symbol_bytes", static_cast<std::uint64_t>(sc.catalog.symbol_bytes));
+  rec.set("users", static_cast<std::uint64_t>(r.users));
+  rec.set("requests", r.requests);
+  rec.set("completed", r.completed);
+  rec.set("failed", r.failed);
+  rec.set("verify_failures", r.verify_failures);
+  rec.set("full_hits", r.full_hits);
+  rec.set("partial_hits", r.partial_hits);
+  rec.set("misses", r.misses);
+  rec.set("hit_rate", r.hit_rate());
+  rec.set("full_hit_rate", r.full_hit_rate());
+  rec.set("head_hit_rate", r.head_hit_rate());
+  rec.set("offload", r.offload());
+  rec.set("symbols_from_edge", r.symbols_from_edge);
+  rec.set("symbols_from_source", r.symbols_from_source);
+  rec.set("edge_bytes", r.edge_bytes);
+  rec.set("backhaul_bytes", r.backhaul_bytes);
+  rec.set("fill_bytes", r.fill_bytes);
+  rec.set("evicted_entries", r.evicted_entries);
+  rec.set("replacements", r.replacements);
+  rec.set("cache_bytes_used", r.cache_bytes_used);
+  rec.set("latency_p50", r.latency_p50);
+  rec.set("latency_p99", r.latency_p99);
+  rec.set("latency_samples", r.latency_samples);
+  rec.set("seconds", seconds);
+  return rec;
+}
+
 }  // namespace ltnc::cache

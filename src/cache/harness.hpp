@@ -30,10 +30,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "cache/catalog.hpp"
 #include "cache/edge_cache.hpp"
 #include "common/types.hpp"
+#include "metrics/emitter.hpp"
 #include "net/sim_channel.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -139,6 +141,14 @@ struct CacheRunStats {
                             static_cast<double>(total);
   }
 };
+
+/// One BENCH_cache row: the scenario's shape (section, the cache policy,
+/// the nominal capacity fraction of the working set), every
+/// CacheRunStats counter and rate, and the wall-clock `seconds`.
+metrics::RunRecord cache_run_record(const std::string& section,
+                                    double capacity_frac,
+                                    const CacheScenario& sc,
+                                    const CacheRunStats& r, double seconds);
 
 /// Bytes a cache of unbounded capacity stores for this catalog under
 /// kPopularity placement — the catalog's working set, the natural unit

@@ -5,7 +5,7 @@
 namespace ltnc {
 
 std::size_t CodedPacket::wire_bytes() const {
-  return wire::serialized_size(*this);
+  return wire::serialized_size(ContentId{0}, *this);
 }
 
 }  // namespace ltnc

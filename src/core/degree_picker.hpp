@@ -47,9 +47,12 @@ struct DegreePickStats {
 
 class DegreePicker {
  public:
+  /// Redraws allowed before pick() falls back to the largest reachable
+  /// degree.
+  static constexpr std::size_t kMaxRetries = 256;
+
   DegreePicker(const lt::RobustSoliton& soliton, const DegreeIndex& index,
-               const CoverageTracker& coverage, bool enforce_bounds = true,
-               std::size_t max_retries = 256);
+               const CoverageTracker& coverage, bool enforce_bounds = true);
 
   /// True when neither bound rules out degree d.
   bool reachable(std::size_t d) const;
@@ -68,7 +71,6 @@ class DegreePicker {
   const DegreeIndex& index_;
   const CoverageTracker& coverage_;
   bool enforce_bounds_;
-  std::size_t max_retries_;
   DegreePickStats stats_;
 };
 

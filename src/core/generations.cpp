@@ -6,7 +6,7 @@
 namespace ltnc::core {
 
 std::size_t GenerationPacket::wire_bytes() const {
-  return wire::serialized_size_generation(generation, packet);
+  return wire::serialized_size_generation(ContentId{0}, generation, packet);
 }
 
 }  // namespace ltnc::core

@@ -18,8 +18,7 @@ LtncCodec::LtncCodec(const LtncConfig& config)
                   }),
       occurrences_(config.k),
       redundancy_(config.k, components_),
-      picker_(soliton_, index_, coverage_, config.enable_reachability_bounds,
-              config.max_degree_retries),
+      picker_(soliton_, index_, coverage_, config.enable_reachability_bounds),
       builder_(decoder_, index_),
       refiner_(components_, occurrences_),
       smart_(decoder_, components_) {

@@ -66,9 +66,7 @@ void EventSimulation::dispatch(const Event& event) {
       break;
     case Event::Kind::kTrace: {
       core_.record_trace_point();
-      const SimConfig& cfg = core_.config();
-      if ((cfg.stop_when_complete && core_.all_complete()) ||
-          core_.round() >= cfg.max_rounds) {
+      if (core_.all_complete() || core_.round() >= core_.config().max_rounds) {
         done_ = true;
       } else {
         schedule_round(core_.round() + 1);

@@ -1,6 +1,7 @@
 #include "dissemination/sim_core.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -36,6 +37,40 @@ double SimResult::overhead() const {
     ++n;
   }
   return n == 0 ? 0.0 : extra / static_cast<double>(n);
+}
+
+metrics::RunRecord sim_run_record(const SimResult& result) {
+  metrics::RunRecord r;
+  r.set("scheme", std::string(session::scheme_name(result.scheme)));
+  r.set("num_nodes", static_cast<std::uint64_t>(result.config.num_nodes));
+  r.set("k", static_cast<std::uint64_t>(result.config.k));
+  r.set("payload_bytes",
+        static_cast<std::uint64_t>(result.config.payload_bytes));
+  r.set("num_contents",
+        static_cast<std::uint64_t>(result.config.num_contents));
+  r.set("seed", result.config.seed);
+  r.set("rounds_run", static_cast<std::uint64_t>(result.rounds_run));
+  r.set("nodes_complete", static_cast<std::uint64_t>(result.nodes_complete));
+  r.set("nodes_churned", static_cast<std::uint64_t>(result.nodes_churned));
+  r.set("all_complete", result.all_complete);
+  r.set("payloads_verified", result.payloads_verified);
+  r.set("mean_completion_round", result.mean_completion());
+  r.set("overhead", result.overhead());
+  r.set("attempts", result.traffic.attempts);
+  r.set("aborted", result.traffic.aborted);
+  r.set("lost", result.traffic.lost);
+  r.set("payload_transfers", result.traffic.payload_transfers);
+  r.set("header_bytes", result.traffic.header_bytes);
+  r.set("payload_bytes_wire", result.traffic.payload_bytes);
+  r.set("feedback_bytes", result.traffic.feedback_bytes);
+  r.set("control_bytes", result.traffic.control_bytes);
+  r.set("wire_bytes_total", result.traffic.wire_bytes_total());
+  r.set("overheard_useful", result.overheard_useful);
+  r.set("session_advertises", result.sessions.advertises_received);
+  r.set("session_aborts", result.sessions.aborts_sent);
+  r.set("decode_control_ops", result.decode_ops.control_total());
+  r.set("recode_control_ops", result.recode_ops.control_total());
+  return r;
 }
 
 session::ProtocolParams SimCore::protocol_params() const {
@@ -378,7 +413,7 @@ SimResult SimCore::finalise() {
       store::Content& content = contents.at(i);
       session::NodeProtocol* node = content.protocol();
       if (node == nullptr) continue;
-      if (cfg_.verify_payloads && node->complete()) {
+      if (node->complete()) {
         // RLNC pays its back-substitution here, so decode costs include
         // it. Content c's ground truth is seeded with content_seed + c.
         result.payloads_verified &=

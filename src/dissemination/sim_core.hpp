@@ -40,6 +40,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "dissemination/sources.hpp"
+#include "metrics/emitter.hpp"
 #include "net/peer_sampler.hpp"
 #include "net/sim_channel.hpp"
 #include "net/traffic.hpp"
@@ -85,13 +86,10 @@ struct SimConfig {
   /// medium "especially attractive"). 0 = wired unicast (paper's §IV).
   std::size_t overhear_count = 0;
   net::PeerSamplerConfig sampler{};
+  /// Round cap; a run stops earlier once every node is complete. Decoded
+  /// content is always verified against the deterministic ground truth at
+  /// the end (RLNC's final back-substitution is in its decode cost).
   std::size_t max_rounds = 200000;
-  /// Stop early once every node is complete (always sensible; switchable
-  /// for soak tests).
-  bool stop_when_complete = true;
-  /// Verify decoded content against the deterministic ground truth at the
-  /// end (includes RLNC's final back-substitution in its decode cost).
-  bool verify_payloads = true;
   /// Sample the LT degree distribution through the fixed-point LUT
   /// instead of the alias table — statistically equivalent but a
   /// different draw sequence, so golden-pinned runs keep it off.
@@ -143,6 +141,11 @@ struct SimResult {
   /// completed nodes.
   double overhead() const;
 };
+
+/// The standard per-run columns every simulation driver shares: scheme,
+/// config shape, rounds, completion, the traffic ledger, session
+/// advertises and aborts, and decode/recode control ops.
+metrics::RunRecord sim_run_record(const SimResult& result);
 
 /// Driver hook into node-state transitions. The event engine uses it to
 /// re-arm a node's push event the moment a delivery or kept overhear may

@@ -60,12 +60,11 @@ class EpidemicSimulation {
   std::size_t round() const { return core_.round(); }
   std::size_t nodes_complete() const { return core_.complete_count(); }
   bool all_complete() const { return core_.all_complete(); }
-  /// True when run() would stop: converged (with stop_when_complete) or
-  /// out of rounds. Lets external drivers step() + observe incrementally.
+  /// True when run() would stop: every node complete, or out of rounds.
+  /// Lets external drivers step() + observe incrementally.
   bool finished() const {
-    const SimConfig& cfg = core_.config();
-    return core_.round() >= cfg.max_rounds ||
-           (cfg.stop_when_complete && core_.all_complete());
+    return core_.round() >= core_.config().max_rounds ||
+           core_.all_complete();
   }
   SimCore& core() { return core_; }
   const SimCore& core() const { return core_; }

@@ -15,7 +15,8 @@
 //   session/…       scheme-agnostic NodeProtocol adapters + the sans-I/O
 //                   session Endpoint (the protocol state machine)
 //   dissemination/… the epidemic simulation harness over session/
-//   metrics/…       Monte-Carlo experiment harness
+//   metrics/…       Monte-Carlo experiment harness, result records and
+//                   their JSON/CSV/table writer
 #pragma once
 
 #include "common/bitvector.hpp"       // IWYU pragma: export
@@ -26,7 +27,6 @@
 #include "common/payload.hpp"         // IWYU pragma: export
 #include "common/rng.hpp"             // IWYU pragma: export
 #include "common/stats.hpp"           // IWYU pragma: export
-#include "common/table.hpp"           // IWYU pragma: export
 #include "common/types.hpp"           // IWYU pragma: export
 #include "core/generations.hpp"      // IWYU pragma: export
 #include "core/ltnc_codec.hpp"       // IWYU pragma: export
@@ -36,6 +36,7 @@
 #include "lt/bp_decoder.hpp"         // IWYU pragma: export
 #include "lt/lt_encoder.hpp"         // IWYU pragma: export
 #include "lt/soliton.hpp"            // IWYU pragma: export
+#include "metrics/emitter.hpp"       // IWYU pragma: export
 #include "metrics/experiment.hpp"    // IWYU pragma: export
 #include "net/peer_sampler.hpp"      // IWYU pragma: export
 #include "net/sim_channel.hpp"       // IWYU pragma: export

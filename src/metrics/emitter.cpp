@@ -1,5 +1,7 @@
 #include "metrics/emitter.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -30,40 +32,107 @@ void write_json_string(std::ostream& out, const std::string& s) {
   out << '"';
 }
 
+void write_csv_string(std::ostream& out, const std::string& s) {
+  if (s.find_first_of(",\"\n\r") == std::string::npos) {
+    out << s;
+    return;
+  }
+  // RFC 4180: wrap in quotes, double any embedded quote.
+  out << '"';
+  for (const char c : s) {
+    if (c == '"') out << '"';
+    out << c;
+  }
+  out << '"';
+}
+
+enum class Format { kJson, kCsv };
+
 void write_value(std::ostream& out, const RunRecord::Value& value,
-                 bool csv) {
+                 Format format) {
   if (const auto* u = std::get_if<std::uint64_t>(&value)) {
     out << *u;
   } else if (const auto* i = std::get_if<std::int64_t>(&value)) {
     out << *i;
   } else if (const auto* d = std::get_if<double>(&value)) {
-    std::ostringstream tmp;  // fixed precision, independent of `out` state
-    tmp << std::setprecision(std::numeric_limits<double>::max_digits10)
-        << *d;
-    out << tmp.str();
+    write_double(out, *d);
   } else if (const auto* b = std::get_if<bool>(&value)) {
     out << (*b ? "true" : "false");
+  } else if (format == Format::kCsv) {
+    write_csv_string(out, std::get<std::string>(value));
   } else {
-    const auto& s = std::get<std::string>(value);
-    if (csv) {
-      if (s.find_first_of(",\"\n\r") == std::string::npos) {
-        out << s;
-      } else {
-        // RFC 4180: wrap in quotes, double any embedded quote.
-        out << '"';
-        for (const char c : s) {
-          if (c == '"') out << '"';
-          out << c;
-        }
-        out << '"';
-      }
-    } else {
-      write_json_string(out, s);
-    }
+    write_json_string(out, std::get<std::string>(value));
   }
 }
 
+/// A table cell: strings verbatim, doubles in their shortest round-trip
+/// form (a terminal view, not a baseline).
+std::string table_cell(const RunRecord::Value& value) {
+  if (const auto* s = std::get_if<std::string>(&value)) return *s;
+  if (const auto* d = std::get_if<double>(&value)) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, *d);
+    return std::string(buf, res.ptr);
+  }
+  std::ostringstream out;
+  write_value(out, value, Format::kCsv);
+  return out.str();
+}
+
+/// The first record's fields are the layout; every record must match it.
+const std::vector<RunRecord::Field>& shared_layout(
+    const std::vector<RunRecord>& records) {
+  const auto& header = records.front().fields();
+  for (const RunRecord& record : records) {
+    const auto& fields = record.fields();
+    LTNC_CHECK_MSG(fields.size() == header.size(),
+                   "records must share one field layout");
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      LTNC_CHECK_MSG(fields[f].key == header[f].key,
+                     "records must share one field layout");
+    }
+  }
+  return header;
+}
+
+void print_box(std::ostream& out, const std::vector<std::string>& header,
+               const std::vector<std::vector<std::string>>& rows) {
+  LTNC_CHECK_MSG(!header.empty(), "a table needs at least one column");
+  std::vector<std::size_t> width(header.size());
+  for (std::size_t c = 0; c < header.size(); ++c) width[c] = header[c].size();
+  for (const auto& row : rows) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      width[c] = std::max(width[c], row[c].size());
+    }
+  }
+  auto rule = [&] {
+    out << '+';
+    for (const std::size_t w : width) out << std::string(w + 2, '-') << '+';
+    out << '\n';
+  };
+  auto line = [&](const std::vector<std::string>& cells) {
+    out << '|';
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      out << ' ' << std::setw(static_cast<int>(width[c])) << cells[c] << " |";
+    }
+    out << '\n';
+  };
+  const auto flags = out.flags();
+  out << std::left;
+  rule();
+  line(header);
+  rule();
+  out << std::right;
+  for (const auto& row : rows) line(row);
+  rule();
+  out.flags(flags);
+}
+
 }  // namespace
+
+RunRecord::RunRecord(std::initializer_list<Field> fields) {
+  for (const Field& f : fields) set(f.key, f.value);
+}
 
 void RunRecord::set(std::string_view key, Value value) {
   for (Field& f : fields_) {
@@ -90,72 +159,89 @@ const RunRecord::Value& RunRecord::at(std::string_view key) const {
   return fields_.front().value;  // unreachable
 }
 
-RunRecord sim_run_record(const dissem::SimResult& result) {
-  RunRecord r;
-  r.set("scheme", std::string(session::scheme_name(result.scheme)));
-  r.set("num_nodes", static_cast<std::uint64_t>(result.config.num_nodes));
-  r.set("k", static_cast<std::uint64_t>(result.config.k));
-  r.set("payload_bytes",
-        static_cast<std::uint64_t>(result.config.payload_bytes));
-  r.set("num_contents",
-        static_cast<std::uint64_t>(result.config.num_contents));
-  r.set("seed", result.config.seed);
-  r.set("rounds_run", static_cast<std::uint64_t>(result.rounds_run));
-  r.set("nodes_complete", static_cast<std::uint64_t>(result.nodes_complete));
-  r.set("nodes_churned", static_cast<std::uint64_t>(result.nodes_churned));
-  r.set("all_complete", result.all_complete);
-  r.set("payloads_verified", result.payloads_verified);
-  r.set("mean_completion_round", result.mean_completion());
-  r.set("overhead", result.overhead());
-  r.set("attempts", result.traffic.attempts);
-  r.set("aborted", result.traffic.aborted);
-  r.set("lost", result.traffic.lost);
-  r.set("payload_transfers", result.traffic.payload_transfers);
-  r.set("header_bytes", result.traffic.header_bytes);
-  r.set("payload_bytes_wire", result.traffic.payload_bytes);
-  r.set("feedback_bytes", result.traffic.feedback_bytes);
-  r.set("control_bytes", result.traffic.control_bytes);
-  r.set("wire_bytes_total", result.traffic.wire_bytes_total());
-  r.set("overheard_useful", result.overheard_useful);
-  return r;
+std::string fixed(double value, int precision) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(precision) << value;
+  return out.str();
+}
+
+void write_double(std::ostream& out, double value) {
+  std::ostringstream tmp;  // fixed precision, independent of `out` state
+  tmp << std::setprecision(std::numeric_limits<double>::max_digits10)
+      << value;
+  out << tmp.str();
+}
+
+std::string json_object(const RunRecord& record) {
+  std::ostringstream out;
+  out << '{';
+  const auto& fields = record.fields();
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    if (f != 0) out << ", ";
+    write_json_string(out, fields[f].key);
+    out << ": ";
+    write_value(out, fields[f].value, Format::kJson);
+  }
+  out << '}';
+  return out.str();
 }
 
 void write_json(std::ostream& out, const std::vector<RunRecord>& records) {
+  std::vector<std::string> objects;
+  objects.reserve(records.size());
+  for (const RunRecord& record : records) {
+    objects.push_back(json_object(record));
+  }
+  write_json_objects(out, objects);
+}
+
+void write_json_objects(std::ostream& out,
+                        const std::vector<std::string>& objects) {
   out << "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out << "  {";
-    const auto& fields = records[i].fields();
-    for (std::size_t f = 0; f < fields.size(); ++f) {
-      if (f != 0) out << ", ";
-      write_json_string(out, fields[f].key);
-      out << ": ";
-      write_value(out, fields[f].value, /*csv=*/false);
-    }
-    out << (i + 1 < records.size() ? "},\n" : "}\n");
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    out << "  " << objects[i] << (i + 1 < objects.size() ? ",\n" : "\n");
   }
   out << "]\n";
 }
 
 void write_csv(std::ostream& out, const std::vector<RunRecord>& records) {
   if (records.empty()) return;
-  const auto& header = records.front().fields();
+  const auto& header = shared_layout(records);
   for (std::size_t f = 0; f < header.size(); ++f) {
     if (f != 0) out << ',';
-    out << header[f].key;
+    write_csv_string(out, header[f].key);
   }
   out << '\n';
   for (const RunRecord& record : records) {
     const auto& fields = record.fields();
-    LTNC_CHECK_MSG(fields.size() == header.size(),
-                   "CSV records must share one field layout");
     for (std::size_t f = 0; f < fields.size(); ++f) {
-      LTNC_CHECK_MSG(fields[f].key == header[f].key,
-                     "CSV records must share one field layout");
       if (f != 0) out << ',';
-      write_value(out, fields[f].value, /*csv=*/true);
+      write_value(out, fields[f].value, Format::kCsv);
     }
     out << '\n';
   }
+}
+
+void write_table(std::ostream& out, const std::vector<RunRecord>& records) {
+  if (records.empty()) return;
+  std::vector<std::string> header;
+  for (const auto& field : shared_layout(records)) header.push_back(field.key);
+  std::vector<std::vector<std::string>> rows;
+  for (const RunRecord& record : records) {
+    std::vector<std::string>& row = rows.emplace_back();
+    for (const auto& field : record.fields()) {
+      row.push_back(table_cell(field.value));
+    }
+  }
+  print_box(out, header, rows);
+}
+
+void write_table(std::ostream& out, const RunRecord& record) {
+  std::vector<std::vector<std::string>> rows;
+  for (const auto& field : record.fields()) {
+    rows.push_back({field.key, table_cell(field.value)});
+  }
+  print_box(out, {"key", "value"}, rows);
 }
 
 }  // namespace ltnc::metrics

@@ -8,6 +8,14 @@
 #include "wire/codec.hpp"
 
 namespace ltnc::session {
+namespace {
+
+/// Endpoint transmit backlog above which a shard stops pumping the
+/// application for new pushes (bounds per-shard queue growth when the
+/// outbound ring is the bottleneck).
+constexpr std::size_t kPumpGate = 32;
+
+}  // namespace
 
 std::uint32_t shard_of(PeerId peer, ContentId content,
                        std::uint32_t num_shards) {
@@ -154,7 +162,7 @@ void ShardedEndpoint::worker(std::uint32_t shard_index) {
         }
       }
 
-      if (!has_pending && ep->pending_transmit() < cfg_.pump_gate) {
+      if (!has_pending && ep->pending_transmit() < kPumpGate) {
         worked = app_.pump(shard_index, *ep) || worked;
       }
 

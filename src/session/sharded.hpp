@@ -62,10 +62,6 @@ struct ShardedConfig {
   /// power of two. A full inbound ring drops the datagram (counted); a
   /// full outbound ring backpressures the shard.
   std::size_t ring_capacity = 512;
-  /// Endpoint transmit backlog above which a shard stops pumping the
-  /// application for new pushes (bounds per-shard queue growth when the
-  /// outbound ring is the bottleneck).
-  std::size_t pump_gate = 32;
   /// Worker loop iterations per Endpoint::tick (shard session time is
   /// iteration-driven; retransmit budgets are per tick, so this sets how
   /// many drain/pump sweeps fit between timer checks).

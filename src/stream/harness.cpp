@@ -343,4 +343,32 @@ StreamRunStats run_udp_stream(const UdpStreamConfig& config) {
   return out;
 }
 
+metrics::RunRecord stream_run_record(const std::string& section, double loss,
+                                     const StreamConfig& stream,
+                                     const StreamRunStats& r, double seconds) {
+  metrics::RunRecord rec;
+  rec.set("section", section);
+  rec.set("loss", loss);
+  rec.set("receivers", static_cast<std::uint64_t>(r.receivers));
+  rec.set("blocks", r.blocks);
+  rec.set("k", static_cast<std::uint64_t>(stream.k()));
+  rec.set("block_bytes", static_cast<std::uint64_t>(stream.block_bytes));
+  rec.set("deadline_ticks", static_cast<std::uint64_t>(stream.deadline_ticks));
+  rec.set("completed", r.completed);
+  rec.set("missed", r.missed);
+  rec.set("miss_rate", r.miss_rate());
+  rec.set("verify_failures", r.verify_failures);
+  rec.set("latency_p50", r.latency_p50);
+  rec.set("latency_p99", r.latency_p99);
+  rec.set("latency_p999", r.latency_p999);
+  rec.set("latency_samples", r.latency_samples);
+  rec.set("goodput_bytes", r.goodput_bytes);
+  rec.set("source_frames", r.source_frames);
+  rec.set("expired_frames", r.expired_frames);
+  rec.set("duration_ticks", r.duration_ticks);
+  rec.set("every_receiver_decoded", r.every_receiver_decoded);
+  rec.set("seconds", seconds);
+  return rec;
+}
+
 }  // namespace ltnc::stream

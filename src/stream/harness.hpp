@@ -17,8 +17,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "metrics/emitter.hpp"
 #include "net/sim_channel.hpp"
 #include "stream/stream_source.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -52,6 +54,12 @@ struct StreamRunStats {
                : static_cast<double>(missed) / static_cast<double>(finalized);
   }
 };
+
+/// One BENCH_stream row: the run's shape (section, loss, block geometry),
+/// every StreamRunStats field, and the wall-clock `seconds` it took.
+metrics::RunRecord stream_run_record(const std::string& section, double loss,
+                                     const StreamConfig& stream,
+                                     const StreamRunStats& r, double seconds);
 
 struct SimStreamConfig {
   StreamConfig stream;  ///< total_blocks must be nonzero

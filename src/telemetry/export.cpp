@@ -1,9 +1,6 @@
 #include "telemetry/export.hpp"
 
-#include <iomanip>
-#include <limits>
 #include <set>
-#include <sstream>
 #include <string>
 
 namespace ltnc::telemetry {
@@ -21,12 +18,6 @@ std::string label_block(const std::string& label, const std::string& le = {}) {
   }
   out += "}";
   return out;
-}
-
-std::string fmt_double(double d) {
-  std::ostringstream tmp;
-  tmp << std::setprecision(std::numeric_limits<double>::max_digits10) << d;
-  return tmp.str();
 }
 
 // # HELP / # TYPE headers, once per metric name.
@@ -64,8 +55,9 @@ void render_prometheus(std::ostream& out, const Snapshot& snap) {
     }
     out << h.name << "_bucket" << label_block(h.label, "+Inf") << " " << cum
         << "\n";
-    out << h.name << "_sum" << label_block(h.label) << " "
-        << fmt_double(h.sum_estimate()) << "\n";
+    out << h.name << "_sum" << label_block(h.label) << " ";
+    metrics::write_double(out, h.sum_estimate());
+    out << "\n";
     out << h.name << "_count" << label_block(h.label) << " " << cum << "\n";
   }
 }

@@ -10,9 +10,9 @@
 //
 //   snapshot_records    flattens a Snapshot into metrics::RunRecord rows
 //                       (one per series; histograms carry count/p50/p99/
-//                       p999/mean) so the existing JSON/CSV Emitter — and
-//                       bench/diff_bench.py — can ingest live telemetry
-//                       with zero new plumbing.
+//                       p999/mean) so the one JSON/CSV/table writer,
+//                       metrics/emitter — and bench/diff_bench.py — can
+//                       ingest live telemetry with zero new plumbing.
 #pragma once
 
 #include <ostream>

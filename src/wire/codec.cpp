@@ -403,17 +403,8 @@ std::size_t content_id_size(ContentId content) {
   return content == 0 ? 0 : varint_size(content);
 }
 
-std::size_t serialized_size(const CodedPacket& packet) {
-  return serialized_size(ContentId{0}, packet);
-}
-
 std::size_t serialized_size(ContentId content, const CodedPacket& packet) {
   return packet_frame_size(content, packet, plan_coeffs(packet.coeffs));
-}
-
-std::size_t serialized_size_generation(std::uint32_t generation,
-                                       const CodedPacket& packet) {
-  return serialized_size_generation(ContentId{0}, generation, packet);
 }
 
 std::size_t serialized_size_generation(ContentId content,
@@ -421,10 +412,6 @@ std::size_t serialized_size_generation(ContentId content,
                                        const CodedPacket& packet) {
   return generation_frame_size(content, generation, packet,
                                plan_coeffs(packet.coeffs));
-}
-
-std::size_t serialized_size_feedback(std::uint64_t token) {
-  return header_size() + varint_size(token);
 }
 
 std::size_t serialized_size_feedback(ContentId content, std::uint64_t token) {
@@ -437,20 +424,9 @@ std::size_t serialized_size_cc(std::span<const std::uint32_t> leaders) {
   return size;
 }
 
-std::size_t serialized_size_advertise(const BitVector& coeffs,
-                                      std::size_t payload_bytes) {
-  AdvertiseInfo info;
-  info.payload_bytes = payload_bytes;
-  return serialized_size_advertise(info, coeffs);
-}
-
 std::size_t serialized_size_advertise(const AdvertiseInfo& info,
                                       const BitVector& coeffs) {
   return advertise_frame_size(info, coeffs, plan_coeffs(coeffs));
-}
-
-void serialize(const CodedPacket& packet, Frame& out) {
-  serialize(ContentId{0}, packet, out);
 }
 
 void serialize(ContentId content, const CodedPacket& packet, Frame& out) {
@@ -462,11 +438,6 @@ void serialize(ContentId content, const CodedPacket& packet, Frame& out) {
              content);
   write_packet_body(w, packet, plan);
   LTNC_DCHECK(w.p == out.data() + out.size());
-}
-
-void serialize_generation(std::uint32_t generation, const CodedPacket& packet,
-                          Frame& out) {
-  serialize_generation(ContentId{0}, generation, packet, out);
 }
 
 void serialize_generation(ContentId content, std::uint32_t generation,
@@ -482,10 +453,6 @@ void serialize_generation(ContentId content, std::uint32_t generation,
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 
-void serialize_feedback(MessageType type, std::uint64_t token, Frame& out) {
-  serialize_feedback(ContentId{0}, type, token, out);
-}
-
 void serialize_feedback(ContentId content, MessageType type,
                         std::uint64_t token, Frame& out) {
   LTNC_CHECK_MSG(type == MessageType::kAbort || type == MessageType::kAck ||
@@ -498,10 +465,6 @@ void serialize_feedback(ContentId content, MessageType type,
   LTNC_DCHECK(w.p == out.data() + out.size());
 }
 
-void serialize_cc(std::span<const std::uint32_t> leaders, Frame& out) {
-  serialize_cc(ContentId{0}, leaders, out);
-}
-
 void serialize_cc(ContentId content, std::span<const std::uint32_t> leaders,
                   Frame& out) {
   out.resize(serialized_size_cc(leaders) + content_id_size(content));
@@ -511,13 +474,6 @@ void serialize_cc(ContentId content, std::span<const std::uint32_t> leaders,
   w.put_varint(leaders.size());
   for (const std::uint32_t leader : leaders) w.put_varint(leader);
   LTNC_DCHECK(w.p == out.data() + out.size());
-}
-
-void serialize_advertise(const BitVector& coeffs, std::size_t payload_bytes,
-                         Frame& out) {
-  AdvertiseInfo info;
-  info.payload_bytes = payload_bytes;
-  serialize_advertise(info, coeffs, out);
 }
 
 void serialize_advertise(const AdvertiseInfo& info, const BitVector& coeffs,
@@ -553,12 +509,6 @@ DecodeStatus peek_content(std::span<const std::uint8_t> frame,
 }
 
 DecodeStatus deserialize(std::span<const std::uint8_t> frame,
-                         CodedPacket& packet) {
-  ContentId content = 0;
-  return deserialize(frame, content, packet);
-}
-
-DecodeStatus deserialize(std::span<const std::uint8_t> frame,
                          ContentId& content, CodedPacket& packet) {
   Reader r{frame.data(), frame.data() + frame.size()};
   MessageType type{};
@@ -567,13 +517,6 @@ DecodeStatus deserialize(std::span<const std::uint8_t> frame,
   if (type != MessageType::kCodedPacket) return DecodeStatus::kBadType;
   WIRE_TRY(read_packet_body(r, flags, packet));
   return finish(r);
-}
-
-DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
-                                    std::uint32_t& generation,
-                                    CodedPacket& packet) {
-  ContentId content = 0;
-  return deserialize_generation(frame, content, generation, packet);
 }
 
 DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
@@ -595,12 +538,6 @@ DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
 }
 
 DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
-                                  MessageType& type, std::uint64_t& token) {
-  ContentId content = 0;
-  return deserialize_feedback(frame, type, token, content);
-}
-
-DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
                                   MessageType& type, std::uint64_t& token,
                                   ContentId& content) {
   Reader r{frame.data(), frame.data() + frame.size()};
@@ -612,15 +549,6 @@ DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
   }
   WIRE_TRY(r.get_varint(token));
   return finish(r);
-}
-
-DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
-                                   BitVector& coeffs,
-                                   std::size_t& payload_bytes) {
-  AdvertiseInfo info;
-  WIRE_TRY(deserialize_advertise(frame, coeffs, info));
-  payload_bytes = info.payload_bytes;
-  return DecodeStatus::kOk;
 }
 
 DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
@@ -644,12 +572,6 @@ DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
   WIRE_TRY(finish(r));
   info.payload_bytes = static_cast<std::size_t>(m);
   return DecodeStatus::kOk;
-}
-
-DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,
-                            std::vector<std::uint32_t>& leaders) {
-  ContentId content = 0;
-  return deserialize_cc(frame, content, leaders);
 }
 
 DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,

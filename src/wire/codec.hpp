@@ -15,8 +15,9 @@
 //                      minus its payload, byte for byte: the header a
 //                      transfer ships ahead so the receiver can veto the
 //                      payload (§III-C). The size identity
-//                      serialized_size_advertise(p) ==
-//                      serialized_size(p) − p.payload.size_bytes() is
+//                      serialized_size_advertise(info, p.coeffs) ==
+//                      serialized_size(info.content, p) −
+//                      p.payload.size_bytes() (no generation attached) is
 //                      load-bearing for the simulator's traffic ledger.
 //   kProceed           varint token — the go-ahead answer to an advertise
 //                      (the explicit form of "silence means proceed" that
@@ -121,19 +122,12 @@ CoeffEncoding choose_coeff_encoding(const BitVector& coeffs);
 /// the range derive_content_id stays in).
 std::size_t content_id_size(ContentId content);
 
-std::size_t serialized_size(const CodedPacket& packet);
 std::size_t serialized_size(ContentId content, const CodedPacket& packet);
-std::size_t serialized_size_generation(std::uint32_t generation,
-                                       const CodedPacket& packet);
 std::size_t serialized_size_generation(ContentId content,
                                        std::uint32_t generation,
                                        const CodedPacket& packet);
-std::size_t serialized_size_feedback(std::uint64_t token);
 std::size_t serialized_size_feedback(ContentId content, std::uint64_t token);
 std::size_t serialized_size_cc(std::span<const std::uint32_t> leaders);
-/// Always equals serialized_size({coeffs, payload}) − payload_bytes.
-std::size_t serialized_size_advertise(const BitVector& coeffs,
-                                      std::size_t payload_bytes);
 
 /// The v2 advertise companion fields: which content the transfer targets
 /// and (for generationed contents) which generation the vector indexes
@@ -145,40 +139,31 @@ struct AdvertiseInfo {
   std::size_t payload_bytes = 0;
 };
 
+/// Without a generation, always equals serialized_size(info.content,
+/// {coeffs, payload}) − info.payload_bytes.
 std::size_t serialized_size_advertise(const AdvertiseInfo& info,
                                       const BitVector& coeffs);
 
 // -- serialization (overwrites `out`; word-span zero-copy fast paths) ------
 //
-// The ContentId-less overloads serialize the default content (id 0) and
-// stay byte-identical to the v1 codec.
+// Content 0 without a generation serializes to the v1 byte image.
 
-void serialize(const CodedPacket& packet, Frame& out);
 void serialize(ContentId content, const CodedPacket& packet, Frame& out);
-void serialize_generation(std::uint32_t generation, const CodedPacket& packet,
-                          Frame& out);
 void serialize_generation(ContentId content, std::uint32_t generation,
                           const CodedPacket& packet, Frame& out);
 /// `type` must be kAbort, kAck or kProceed.
-void serialize_feedback(MessageType type, std::uint64_t token, Frame& out);
 void serialize_feedback(ContentId content, MessageType type,
                         std::uint64_t token, Frame& out);
-void serialize_cc(std::span<const std::uint32_t> leaders, Frame& out);
 void serialize_cc(ContentId content, std::span<const std::uint32_t> leaders,
                   Frame& out);
-/// Serializes the advertise for a transfer of `payload_bytes` behind
+/// Serializes the advertise for a transfer of info.payload_bytes behind
 /// `coeffs` — the kCodedPacket frame with the payload span left out.
-void serialize_advertise(const BitVector& coeffs, std::size_t payload_bytes,
-                         Frame& out);
-/// Multi-content advertise (info.payload_bytes is the payload to come).
 void serialize_advertise(const AdvertiseInfo& info, const BitVector& coeffs,
                          Frame& out);
 
 // -- deserialization (hardened; never reads past `frame`) ------------------
 //
-// The ContentId-less overloads accept any frame and discard the content
-// id — the single-content call sites (simulator overhears, tests) that
-// never multiplex.
+// A v1 frame decodes as content 0.
 
 /// Message type of a frame without decoding the body (kOk ⇒ `type` set and
 /// the version byte checked).
@@ -194,32 +179,21 @@ DecodeStatus peek_content(std::span<const std::uint8_t> frame,
                           ContentId& content);
 
 DecodeStatus deserialize(std::span<const std::uint8_t> frame,
-                         CodedPacket& packet);
-DecodeStatus deserialize(std::span<const std::uint8_t> frame,
                          ContentId& content, CodedPacket& packet);
-DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
-                                    std::uint32_t& generation,
-                                    CodedPacket& packet);
 DecodeStatus deserialize_generation(std::span<const std::uint8_t> frame,
                                     ContentId& content,
                                     std::uint32_t& generation,
                                     CodedPacket& packet);
 /// Accepts kAbort, kAck or kProceed; reports which via `type`.
 DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
-                                  MessageType& type, std::uint64_t& token);
-DecodeStatus deserialize_feedback(std::span<const std::uint8_t> frame,
                                   MessageType& type, std::uint64_t& token,
                                   ContentId& content);
-DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,
-                            std::vector<std::uint32_t>& leaders);
 DecodeStatus deserialize_cc(std::span<const std::uint8_t> frame,
                             ContentId& content,
                             std::vector<std::uint32_t>& leaders);
 /// kOk ⇒ `coeffs` holds the advertised vector (lease reused when the
-/// width matches) and `payload_bytes` the length of the payload to come.
-DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
-                                   BitVector& coeffs,
-                                   std::size_t& payload_bytes);
+/// width matches) and `info` the content, generation and the length of
+/// the payload to come.
 DecodeStatus deserialize_advertise(std::span<const std::uint8_t> frame,
                                    BitVector& coeffs, AdvertiseInfo& info);
 

@@ -142,8 +142,9 @@ TEST(GenerationedLtnc, HeaderShrinksWithGenerations) {
   GenerationPacket gen{
       0, CodedPacket{BitVector::from_indices(128, gen_idx), Payload(0)}};
   EXPECT_EQ(mono.wire_bytes(),
-            wire::serialized_size_generation(0, mono.packet));
-  EXPECT_EQ(gen.wire_bytes(), wire::serialized_size_generation(0, gen.packet));
+            wire::serialized_size_generation(ContentId{0}, 0, mono.packet));
+  EXPECT_EQ(gen.wire_bytes(),
+            wire::serialized_size_generation(ContentId{0}, 0, gen.packet));
   // Both vectors are dense here, so the 128-byte vs 16-byte gap survives
   // framing: the generation packet is ~112 bytes smaller.
   EXPECT_EQ(mono.wire_bytes() - gen.wire_bytes(), 128u - 16u);

@@ -267,7 +267,8 @@ TEST(MultiContentSession, LegacyEndpointCountsGenerationTrafficAsForeign) {
   Endpoint endpoint(cfg, make_node(Scheme::kLtnc, params));
   wire::Frame frame;
   wire::serialize_generation(
-      0, CodedPacket::native(8, 0, Payload::deterministic(16, 1, 0)), frame);
+      ContentId{0}, 0,
+      CodedPacket::native(8, 0, Payload::deterministic(16, 1, 0)), frame);
   EXPECT_EQ(endpoint.handle_frame(0, frame.bytes()), Endpoint::Event::kNone);
   EXPECT_EQ(endpoint.stats().foreign_frames, 1u);
   EXPECT_EQ(endpoint.stats().data_delivered, 0u);

@@ -105,13 +105,13 @@ TEST(SessionEndpoint, AdvertiseIsByteIdenticalToDataFrameMinusPayload) {
   wire::Frame data;
   for (int i = 0; i < 50; ++i) {
     const CodedPacket packet = source.encode(rng);
-    wire::serialize_advertise(packet.coeffs, packet.payload.size_bytes(),
-                              advertise);
-    wire::serialize(packet, data);
+    const wire::AdvertiseInfo info{.payload_bytes =
+                                       packet.payload.size_bytes()};
+    wire::serialize_advertise(info, packet.coeffs, advertise);
+    wire::serialize(ContentId{0}, packet, data);
     EXPECT_EQ(advertise.size(), data.size() - packet.payload.size_bytes());
     EXPECT_EQ(advertise.size(),
-              wire::serialized_size_advertise(packet.coeffs,
-                                              packet.payload.size_bytes()));
+              wire::serialized_size_advertise(info, packet.coeffs));
   }
 }
 
@@ -124,7 +124,7 @@ TEST(SessionEndpoint, RedundantAdvertiseIsVetoed) {
   wire::Frame frame;
   for (int i = 0; i < 10000 && !receiver->complete(); ++i) {
     last = source.encode(rng);
-    wire::serialize(last, frame);
+    wire::serialize(ContentId{0}, last, frame);
     receiver->handle_frame(0, frame.bytes());
   }
   ASSERT_TRUE(receiver->complete());
@@ -163,7 +163,7 @@ TEST(SessionEndpoint, SmartFeedbackShipsAndConsumesCcArray) {
   wire::Frame frame;
   // Seed alice until she can recode.
   for (int i = 0; i < 10000 && !alice->can_push(); ++i) {
-    wire::serialize(source.encode(rng), frame);
+    wire::serialize(ContentId{0}, source.encode(rng), frame);
     alice->handle_frame(2, frame.bytes());
   }
   ASSERT_TRUE(alice->can_push());
@@ -221,7 +221,8 @@ TEST(SessionEndpoint, DuplicateProceedSendsDataExactlyOnce) {
   ASSERT_TRUE(sender.poll_transmit(dst, frame));  // drop the advertise
 
   wire::Frame proceed;
-  wire::serialize_feedback(wire::MessageType::kProceed, 0, proceed);
+  wire::serialize_feedback(ContentId{0}, wire::MessageType::kProceed, 0,
+                           proceed);
   EXPECT_EQ(sender.handle_frame(0, proceed.bytes()), Event::kProceedReceived);
   EXPECT_EQ(sender.handle_frame(0, proceed.bytes()), Event::kNone);
   EXPECT_EQ(sender.stats().data_sent, 1u);
@@ -231,7 +232,8 @@ TEST(SessionEndpoint, DuplicateProceedSendsDataExactlyOnce) {
 TEST(SessionEndpoint, StaleAbortIsIgnored) {
   Endpoint sender(config(), nullptr);
   wire::Frame abort_frame;
-  wire::serialize_feedback(wire::MessageType::kAbort, 9, abort_frame);
+  wire::serialize_feedback(ContentId{0}, wire::MessageType::kAbort, 9,
+                           abort_frame);
   EXPECT_EQ(sender.handle_frame(0, abort_frame.bytes()), Event::kNone);
   EXPECT_EQ(sender.stats().duplicates_suppressed, 1u);
   EXPECT_EQ(sender.stats().aborts_received, 0u);
@@ -381,7 +383,7 @@ TEST(SessionEndpoint, MalformedAndForeignFramesAreAbsorbed) {
   lt::LtEncoder other(lt::make_native_payloads(2 * kK, kM, kContentSeed));
   Rng rng(10);
   wire::Frame frame;
-  wire::serialize(other.encode(rng), frame);
+  wire::serialize(ContentId{0}, other.encode(rng), frame);
   EXPECT_EQ(receiver->handle_frame(0, frame.bytes()), Event::kNone);
   EXPECT_EQ(receiver->stats().malformed_frames, 1u);
   EXPECT_EQ(receiver->stats().foreign_frames, 1u);

@@ -124,7 +124,8 @@ TEST(ShardHash, PeekContentHandlesV1AndGarbage) {
   coeffs.set(1);
   const CodedPacket packet(coeffs, Payload::deterministic(64, 3, 0));
   wire::Frame v1;
-  wire::serialize(packet, v1);  // content 0 ⇒ exact v1 byte image
+  // Content 0 ⇒ the exact v1 byte image.
+  wire::serialize(ContentId{0}, packet, v1);
   ContentId content = 99;
   ASSERT_EQ(wire::peek_content(v1.bytes(), content), wire::DecodeStatus::kOk);
   EXPECT_EQ(content, 0u);

@@ -246,13 +246,14 @@ TEST(SteadyStateAllocation, WireRoundTripIsAllocationFree) {
   Rng rng(61);
   wire::Frame tx;
   wire::Frame rx_frame;
+  ContentId content = 0;
   CodedPacket rx;
   const auto pump = [&] {
     const CodedPacket pkt = enc.encode(rng);
-    wire::serialize(pkt, tx);
+    wire::serialize(ContentId{0}, pkt, tx);
     ASSERT_TRUE(channel.send(tx.bytes()));
     ASSERT_TRUE(channel.recv(rx_frame));
-    ASSERT_EQ(wire::deserialize(rx_frame.bytes(), rx),
+    ASSERT_EQ(wire::deserialize(rx_frame.bytes(), content, rx),
               wire::DecodeStatus::kOk);
     g_sink = g_sink ^ rx.coeffs.words()[0] ^ rx.payload.words()[0];
   };
@@ -272,14 +273,16 @@ TEST(SteadyStateAllocation, FeedbackAndCcFramesAreAllocationFree) {
     leaders[i] = static_cast<std::uint32_t>(i % 7);
   }
   std::vector<std::uint32_t> decoded;
+  ContentId content = 0;
   wire::MessageType type{};
   std::uint64_t token = 0;
   const auto pump = [&](std::uint64_t seq) {
-    wire::serialize_feedback(wire::MessageType::kAbort, seq, frame);
-    ASSERT_EQ(wire::deserialize_feedback(frame.bytes(), type, token),
+    wire::serialize_feedback(ContentId{0}, wire::MessageType::kAbort, seq,
+                             frame);
+    ASSERT_EQ(wire::deserialize_feedback(frame.bytes(), type, token, content),
               wire::DecodeStatus::kOk);
-    wire::serialize_cc(leaders, frame);
-    ASSERT_EQ(wire::deserialize_cc(frame.bytes(), decoded),
+    wire::serialize_cc(ContentId{0}, leaders, frame);
+    ASSERT_EQ(wire::deserialize_cc(frame.bytes(), content, decoded),
               wire::DecodeStatus::kOk);
     g_sink = g_sink ^ token ^ decoded.back();
   };

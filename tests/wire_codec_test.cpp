@@ -54,12 +54,14 @@ TEST(WireCodec, CodedPacketRoundTripsAcrossDimensions) {
         const CodedPacket original(random_coeffs(k, degree, rng),
                                    random_payload(m, rng));
         Frame frame;
-        serialize(original, frame);
-        EXPECT_EQ(frame.size(), serialized_size(original));
+        serialize(ContentId{0}, original, frame);
+        EXPECT_EQ(frame.size(), serialized_size(ContentId{0}, original));
         EXPECT_EQ(frame.size(), original.wire_bytes());
 
+        ContentId content = 0;
         CodedPacket decoded;
-        ASSERT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kOk)
+        ASSERT_EQ(deserialize(frame.bytes(), content, decoded),
+                  DecodeStatus::kOk)
             << "k=" << k << " m=" << m << " degree=" << degree;
         EXPECT_EQ(decoded.coeffs, original.coeffs);
         EXPECT_EQ(decoded.payload, original.payload);
@@ -77,9 +79,11 @@ TEST(WireCodec, ZeroDegreeAndFullDegreeRoundTrip) {
     for (const BitVector& coeffs : {none, all}) {
       const CodedPacket original(coeffs, random_payload(16, rng));
       Frame frame;
-      serialize(original, frame);
+      serialize(ContentId{0}, original, frame);
+      ContentId content = 0;
       CodedPacket decoded;
-      ASSERT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kOk);
+      ASSERT_EQ(deserialize(frame.bytes(), content, decoded),
+                DecodeStatus::kOk);
       EXPECT_EQ(decoded.coeffs, original.coeffs);
     }
   }
@@ -92,13 +96,16 @@ TEST(WireCodec, GenerationPacketRoundTrips) {
     const CodedPacket original(random_coeffs(96, 5, rng),
                                random_payload(33, rng));
     Frame frame;
-    serialize_generation(generation, original, frame);
-    EXPECT_EQ(frame.size(), serialized_size_generation(generation, original));
+    serialize_generation(ContentId{0}, generation, original, frame);
+    EXPECT_EQ(frame.size(),
+              serialized_size_generation(ContentId{0}, generation, original));
 
+    ContentId content = 0;
     std::uint32_t decoded_gen = 0;
     CodedPacket decoded;
-    ASSERT_EQ(deserialize_generation(frame.bytes(), decoded_gen, decoded),
-              DecodeStatus::kOk);
+    ASSERT_EQ(
+        deserialize_generation(frame.bytes(), content, decoded_gen, decoded),
+        DecodeStatus::kOk);
     EXPECT_EQ(decoded_gen, generation);
     EXPECT_EQ(decoded.coeffs, original.coeffs);
     EXPECT_EQ(decoded.payload, original.payload);
@@ -115,23 +122,24 @@ TEST(WireCodec, AdvertiseRoundTrips) {
     const std::size_t m = rng.uniform(300);
     const BitVector coeffs = random_coeffs(k, rng.uniform(k + 1), rng);
     Frame frame;
-    serialize_advertise(coeffs, m, frame);
-    EXPECT_EQ(frame.size(), serialized_size_advertise(coeffs, m));
+    const AdvertiseInfo info{.payload_bytes = m};
+    serialize_advertise(info, coeffs, frame);
+    EXPECT_EQ(frame.size(), serialized_size_advertise(info, coeffs));
 
     BitVector decoded;
-    std::size_t decoded_m = 0;
-    ASSERT_EQ(deserialize_advertise(frame.bytes(), decoded, decoded_m),
+    AdvertiseInfo decoded_info;
+    ASSERT_EQ(deserialize_advertise(frame.bytes(), decoded, decoded_info),
               DecodeStatus::kOk);
     EXPECT_EQ(decoded, coeffs);
-    EXPECT_EQ(decoded_m, m);
+    EXPECT_EQ(decoded_info.payload_bytes, m);
 
     // The identity the session layer's traffic accounting rests on: an
     // advertise is the coded-packet frame minus its payload span, byte
     // for byte.
     const CodedPacket packet(coeffs, Payload(m));
-    EXPECT_EQ(frame.size(), serialized_size(packet) - m);
+    EXPECT_EQ(frame.size(), serialized_size(ContentId{0}, packet) - m);
     Frame packet_frame;
-    serialize(packet, packet_frame);
+    serialize(ContentId{0}, packet, packet_frame);
     // Same adaptive coeff encoding chosen, same prefix layout — only the
     // type byte and the missing payload differ.
     EXPECT_EQ(frame.bytes()[2], packet_frame.bytes()[2]);  // flags agree
@@ -140,12 +148,13 @@ TEST(WireCodec, AdvertiseRoundTrips) {
 
 TEST(WireCodec, AdvertiseRejectsTrailingBytes) {
   Frame frame;
-  serialize_advertise(BitVector::unit(16, 3), 8, frame);
+  serialize_advertise(AdvertiseInfo{.payload_bytes = 8},
+                      BitVector::unit(16, 3), frame);
   const std::uint8_t junk = 0;
   frame.append(&junk, 1);
   BitVector decoded;
-  std::size_t m = 0;
-  EXPECT_EQ(deserialize_advertise(frame.bytes(), decoded, m),
+  AdvertiseInfo info;
+  EXPECT_EQ(deserialize_advertise(frame.bytes(), decoded, info),
             DecodeStatus::kTrailingBytes);
 }
 
@@ -156,13 +165,14 @@ TEST(WireCodec, FeedbackRoundTrips) {
          {std::uint64_t{0}, std::uint64_t{127}, std::uint64_t{128},
           std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
       Frame frame;
-      serialize_feedback(type, token, frame);
-      EXPECT_EQ(frame.size(), serialized_size_feedback(token));
+      serialize_feedback(ContentId{0}, type, token, frame);
+      EXPECT_EQ(frame.size(), serialized_size_feedback(ContentId{0}, token));
 
+      ContentId content = 0;
       MessageType decoded_type{};
       std::uint64_t decoded_token = 0;
       ASSERT_EQ(deserialize_feedback(frame.bytes(), decoded_type,
-                                     decoded_token),
+                                     decoded_token, content),
                 DecodeStatus::kOk);
       EXPECT_EQ(decoded_type, type);
       EXPECT_EQ(decoded_token, token);
@@ -178,11 +188,13 @@ TEST(WireCodec, CcArrayRoundTrips) {
       leader = static_cast<std::uint32_t>(rng.next());
     }
     Frame frame;
-    serialize_cc(leaders, frame);
+    serialize_cc(ContentId{0}, leaders, frame);
     EXPECT_EQ(frame.size(), serialized_size_cc(leaders));
 
+    ContentId content = 0;
     std::vector<std::uint32_t> decoded;
-    ASSERT_EQ(deserialize_cc(frame.bytes(), decoded), DecodeStatus::kOk);
+    ASSERT_EQ(deserialize_cc(frame.bytes(), content, decoded),
+              DecodeStatus::kOk);
     EXPECT_EQ(decoded, leaders);
   }
 }
@@ -191,15 +203,15 @@ TEST(WireCodec, PeekTypeSeesEveryMessage) {
   Frame frame;
   MessageType type{};
 
-  serialize(CodedPacket(BitVector(8), Payload(4)), frame);
+  serialize(ContentId{0}, CodedPacket(BitVector(8), Payload(4)), frame);
   ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
   EXPECT_EQ(type, MessageType::kCodedPacket);
 
-  serialize_feedback(MessageType::kAck, 9, frame);
+  serialize_feedback(ContentId{0}, MessageType::kAck, 9, frame);
   ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
   EXPECT_EQ(type, MessageType::kAck);
 
-  serialize_cc({}, frame);
+  serialize_cc(ContentId{0}, {}, frame);
   ASSERT_EQ(peek_type(frame.bytes(), type), DecodeStatus::kOk);
   EXPECT_EQ(type, MessageType::kCcArray);
 }
@@ -279,12 +291,16 @@ TEST(WireCodec, DefaultContentFramesAreByteIdenticalToV1) {
   const CodedPacket packet(random_coeffs(64, 4, rng), random_payload(16, rng));
   Frame plain;
   Frame with_id;
-  serialize(packet, plain);
-  serialize(ContentId{0}, packet, with_id);
-  ASSERT_EQ(plain.size(), with_id.size());
+  serialize(ContentId{0}, packet, plain);
+  serialize(ContentId{9}, packet, with_id);
+  // The v1 image is the v2 frame without its one-byte id varint: version
+  // 1, the same type, the id flag clear, then the same body.
+  ASSERT_EQ(plain.size() + 1, with_id.size());
   EXPECT_EQ(plain.bytes()[0], 1u);  // v1 version byte
-  EXPECT_TRUE(std::equal(plain.bytes().begin(), plain.bytes().end(),
-                         with_id.bytes().begin()));
+  EXPECT_EQ(plain.bytes()[1], with_id.bytes()[1]);
+  EXPECT_EQ(plain.bytes()[2], with_id.bytes()[2] & ~kFlagContentId);
+  EXPECT_TRUE(std::equal(plain.bytes().begin() + 3, plain.bytes().end(),
+                         with_id.bytes().begin() + 4));
 }
 
 TEST(WireCodec, V2FramesDecodeAsV2AndV1FlagPolicyHolds) {
@@ -316,7 +332,7 @@ TEST(WireCodec, ContentIdCostIsAtMostTwoBytesForDerivedIds) {
   Rng rng(112);
   const CodedPacket packet(random_coeffs(1024, 8, rng),
                            random_payload(64, rng));
-  const std::size_t base = serialized_size(packet);
+  const std::size_t base = serialized_size(ContentId{0}, packet);
   for (const ContentId cid : {ContentId{1}, ContentId{200},
                               ContentId{0x3FFF}}) {
     EXPECT_LE(serialized_size(cid, packet) - base, 2u);
@@ -368,7 +384,7 @@ TEST(WireCodec, WireBytesTracksDegree) {
   const CodedPacket low(BitVector::unit(k, 3), Payload(64));
   EXPECT_LT(low.wire_bytes(), (k + 7) / 8 + 64);
   Frame frame;
-  serialize(low, frame);
+  serialize(ContentId{0}, low, frame);
   EXPECT_EQ(low.wire_bytes(), frame.size());
 }
 
@@ -376,33 +392,41 @@ TEST(WireCodec, WireBytesTracksDegree) {
 
 TEST(WireCodec, RejectsWrongVersion) {
   Frame frame;
-  serialize(CodedPacket(BitVector(16), Payload(8)), frame);
+  serialize(ContentId{0}, CodedPacket(BitVector(16), Payload(8)), frame);
   frame.mutable_bytes()[0] = kProtocolVersion + 1;
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadVersion);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kBadVersion);
 }
 
 TEST(WireCodec, RejectsUnknownType) {
   Frame frame;
-  serialize(CodedPacket(BitVector(16), Payload(8)), frame);
+  serialize(ContentId{0}, CodedPacket(BitVector(16), Payload(8)), frame);
   frame.mutable_bytes()[1] = 0x7F;
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadType);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kBadType);
 }
 
 TEST(WireCodec, RejectsMismatchedType) {
   Frame frame;
-  serialize_feedback(MessageType::kAck, 1, frame);
+  serialize_feedback(ContentId{0}, MessageType::kAck, 1, frame);
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kBadType);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kBadType);
 }
 
 TEST(WireCodec, RejectsReservedFlagBits) {
   Frame frame;
-  serialize(CodedPacket(BitVector(16), Payload(8)), frame);
+  serialize(ContentId{0}, CodedPacket(BitVector(16), Payload(8)), frame);
   frame.mutable_bytes()[2] |= 0x80;
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kMalformed);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kMalformed);
 }
 
 TEST(WireCodec, RejectsDirtyTailBitsInDenseBitmap) {
@@ -411,20 +435,24 @@ TEST(WireCodec, RejectsDirtyTailBitsInDenseBitmap) {
   BitVector coeffs(12);
   coeffs.set(0);
   Frame frame;
-  serialize(CodedPacket(coeffs, Payload(0)), frame);
+  serialize(ContentId{0}, CodedPacket(coeffs, Payload(0)), frame);
   ASSERT_EQ(frame.size(), 3u + 1 + 1 + 2);
   frame.mutable_bytes()[frame.size() - 1] |= 0xF0;
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kMalformed);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kMalformed);
 }
 
 TEST(WireCodec, RejectsTrailingBytes) {
   Frame frame;
-  serialize(CodedPacket(BitVector(16), Payload(8)), frame);
+  serialize(ContentId{0}, CodedPacket(BitVector(16), Payload(8)), frame);
   const std::uint8_t junk = 0;
   frame.append(&junk, 1);
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize(frame.bytes(), decoded), DecodeStatus::kTrailingBytes);
+  EXPECT_EQ(deserialize(frame.bytes(), content, decoded),
+            DecodeStatus::kTrailingBytes);
 }
 
 TEST(WireCodec, RejectsOversizedDimensions) {
@@ -436,8 +464,9 @@ TEST(WireCodec, RejectsOversizedDimensions) {
                                  0,
                                  0x80, 0x80, 0x80, 0x80, 0x10,  // k = 2^32
                                  0x00};                         // m = 0
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize({huge_k, sizeof(huge_k)}, decoded),
+  EXPECT_EQ(deserialize({huge_k, sizeof(huge_k)}, content, decoded),
             DecodeStatus::kMalformed);
 }
 
@@ -448,8 +477,9 @@ TEST(WireCodec, RejectsOverlongVarint) {
                                    static_cast<std::uint8_t>(
                                        MessageType::kCodedPacket),
                                    0, 0x80, 0x00, 0x00};
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize({overlong, sizeof(overlong)}, decoded),
+  EXPECT_EQ(deserialize({overlong, sizeof(overlong)}, content, decoded),
             DecodeStatus::kMalformed);
 }
 
@@ -464,8 +494,9 @@ TEST(WireCodec, RejectsUnorderedSparseIndices) {
                               0x02,  // degree 2
                               0x07,  // index 7 (the last valid one)
                               0x00};  // next = 7 + 0 + 1 = 8 ≥ k
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize({bad, sizeof(bad)}, decoded),
+  EXPECT_EQ(deserialize({bad, sizeof(bad)}, content, decoded),
             DecodeStatus::kMalformed);
 }
 
@@ -477,15 +508,17 @@ TEST(WireCodec, RejectsSparseDegreeAboveK) {
                               0x04,  // k = 4
                               0x00,  // m = 0
                               0x05};  // degree 5 > k
+  ContentId content = 0;
   CodedPacket decoded;
-  EXPECT_EQ(deserialize({bad, sizeof(bad)}, decoded),
+  EXPECT_EQ(deserialize({bad, sizeof(bad)}, content, decoded),
             DecodeStatus::kMalformed);
 }
 
 TEST(WireCodec, RejectsEmptyFrame) {
+  ContentId content = 0;
   CodedPacket decoded;
   MessageType type{};
-  EXPECT_EQ(deserialize({}, decoded), DecodeStatus::kTruncated);
+  EXPECT_EQ(deserialize({}, content, decoded), DecodeStatus::kTruncated);
   EXPECT_EQ(peek_type({}, type), DecodeStatus::kTruncated);
 }
 
