@@ -18,22 +18,19 @@
 // the CI smoke run turns a placement regression into a red build.
 //
 // Writes BENCH_cache.json (one flat array; bench/diff_bench.py globs
-// it). Flags: --full --seed=S --out=FILE --users=N
-#include <chrono>
+// it). Flags (bench::Args): --full --seed=S --out=FILE, and --nodes=N for
+// the user count of the event sweep.
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "cache/harness.hpp"
 #include "metrics/emitter.hpp"
 
 namespace {
 
-using ltnc::cache::CacheRunStats;
 using ltnc::cache::cache_run_record;
 using ltnc::cache::CacheScenario;
 using ltnc::cache::Policy;
@@ -95,27 +92,9 @@ bool check_monotone(const std::string& section,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool full = false;
-  std::uint64_t seed = 1;
-  std::string out_path = "BENCH_cache.json";
-  std::size_t users_override = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--full") {
-      full = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(
-          std::atoll(std::string(arg.substr(7)).c_str()));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = std::string(arg.substr(6));
-    } else if (arg.rfind("--users=", 0) == 0) {
-      users_override = static_cast<std::size_t>(
-          std::atoll(std::string(arg.substr(8)).c_str()));
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "flags: --full --seed=S --out=FILE --users=N\n";
-      return 0;
-    }
-  }
+  const auto args = ltnc::bench::Args::parse(argc, argv);
+  const bool full = args.full;
+  const std::uint64_t seed = args.seed;
 
   std::vector<RunRecord> records;
   bool curves_ok = true;
@@ -127,7 +106,7 @@ int main(int argc, char** argv) {
 
   // --- event-engine capacity sweep -----------------------------------------
   const std::size_t event_users =
-      users_override != 0 ? users_override : (full ? 100'000 : 10'000);
+      args.nodes != 0 ? args.nodes : (full ? 100'000 : 10'000);
   const std::vector<double> fracs{0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 1.25};
   std::cerr << "edge_cache: event sweep (" << event_users << " users)\n";
   std::vector<CurvePoint> event_curve;
@@ -137,11 +116,8 @@ int main(int argc, char** argv) {
     cfg.scenario.users = event_users;
     cfg.scenario.cache.capacity_bytes =
         static_cast<std::size_t>(static_cast<double>(ws) * frac);
-    const auto start = std::chrono::steady_clock::now();
-    const CacheRunStats r = run_event_cache(cfg);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    const auto [r, seconds] =
+        ltnc::bench::timed([&] { return run_event_cache(cfg); });
     std::cerr << "  event frac=" << frac << ": hit=" << r.hit_rate()
               << " offload=" << r.offload() << " backhaul=" << r.backhaul_bytes
               << " (" << seconds << "s)\n";
@@ -162,11 +138,8 @@ int main(int argc, char** argv) {
     cfg.scenario.users = 8;
     cfg.scenario.cache.capacity_bytes =
         static_cast<std::size_t>(static_cast<double>(ws) * frac);
-    const auto start = std::chrono::steady_clock::now();
-    const CacheRunStats r = run_udp_cache(cfg);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    const auto [r, seconds] =
+        ltnc::bench::timed([&] { return run_udp_cache(cfg); });
     std::cerr << "  udp frac=" << frac << ": hit=" << r.hit_rate()
               << " offload=" << r.offload() << " backhaul=" << r.backhaul_bytes
               << " (" << seconds << "s)\n";
@@ -182,11 +155,8 @@ int main(int argc, char** argv) {
     cfg.scenario.users = 16;
     cfg.scenario.loss_rate = 0.05;
     cfg.scenario.cache.capacity_bytes = ws;
-    const auto start = std::chrono::steady_clock::now();
-    const CacheRunStats r = run_sim_cache(cfg);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    const auto [r, seconds] =
+        ltnc::bench::timed([&] { return run_sim_cache(cfg); });
     std::cerr << "  sim loss=0.05: hit=" << r.hit_rate()
               << " completed=" << r.completed << "/" << r.requests << " ("
               << seconds << "s)\n";
@@ -200,11 +170,8 @@ int main(int argc, char** argv) {
     cfg.scenario.users = full ? 10'000 : 2'000;
     cfg.scenario.cache.policy = policy;
     cfg.scenario.cache.capacity_bytes = ws / 2;
-    const auto start = std::chrono::steady_clock::now();
-    const CacheRunStats r = run_event_cache(cfg);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
+    const auto [r, seconds] =
+        ltnc::bench::timed([&] { return run_event_cache(cfg); });
     std::cerr << "  policy " << ltnc::cache::policy_name(policy)
               << ": hit=" << r.hit_rate() << " evicted=" << r.evicted_entries
               << " (" << seconds << "s)\n";
@@ -212,13 +179,10 @@ int main(int argc, char** argv) {
         cache_run_record("policy", 0.5, cfg.scenario, r, seconds));
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << "\n";
+  if (!ltnc::bench::write_baseline(args.out_or("BENCH_cache.json"),
+                                   records)) {
     return 1;
   }
-  ltnc::metrics::write_json(out, records);
-  std::cout << "wrote " << out_path << "\n";
 
   if (!curves_ok) {
     std::cerr << "edge_cache: capacity curves are not monotone\n";

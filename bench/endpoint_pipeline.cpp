@@ -4,10 +4,14 @@
 //
 //   1. Shard scaling: frames/sec through a syscall-free ring-fed decode
 //      pipeline (route_frame → SPSC ring → Endpoint::handle_frame) for
-//      1, 2 and 4 worker shards, with the speedup over one shard. On a
-//      multi-core box the curve should approach the shard count; the
-//      JSON records hardware_concurrency so a single-core CI result
-//      (speedup ≈ 1) reads as the hardware's ceiling, not a regression.
+//      1, 2 and 4 worker shards, with the speedup over one shard. One
+//      untimed pass runs first, so no point pays the process's cold
+//      start; each shard count is then timed kReps times and its row
+//      records the median, min and max rate (speedup = median over
+//      median). On a multi-core box the curve should approach the shard
+//      count; the JSON records hardware_concurrency so a single-core CI
+//      result (speedup ≈ 1) reads as the hardware's ceiling, not a
+//      regression.
 //
 //   2. The batched socket edge: frames per sendmmsg/recvmmsg call over a
 //      loopback fan-out to 8 receiver sockets — the syscall amortization
@@ -18,18 +22,17 @@
 //
 // Usage: endpoint_pipeline [--out=FILE] [--frames=N]
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "harness/loopback.hpp"
 #include "lt/lt_encoder.hpp"
@@ -50,6 +53,7 @@ constexpr std::size_t kK = 64;           // blocks per content
 constexpr std::size_t kPayload = 256;    // bytes per block
 constexpr std::size_t kContents = 16;
 constexpr std::uint32_t kPeers = 64;
+constexpr std::size_t kReps = 3;         // timed runs per shard count
 
 /// Receiver fleet for the scaling measurement: every shard registers a
 /// sink for every content (a conversation can hash anywhere), no
@@ -201,20 +205,8 @@ BatchPoint run_batch_edge(std::uint64_t total_frames) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_endpoint.json";
-  std::uint64_t total_frames = 24000;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = std::string(arg.substr(6));
-    } else if (arg.rfind("--frames=", 0) == 0) {
-      total_frames = static_cast<std::uint64_t>(
-          std::atoll(std::string(arg.substr(9)).c_str()));
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "flags: --out=FILE --frames=N\n";
-      return 0;
-    }
-  }
+  const auto args = bench::Args::parse(argc, argv);
+  const std::uint64_t total_frames = args.frames != 0 ? args.frames : 24000;
 
   const unsigned cores = std::thread::hardware_concurrency();
   std::cout << "endpoint pipeline: " << total_frames << " frames of "
@@ -234,21 +226,33 @@ int main(int argc, char** argv) {
         {"peers", std::uint64_t{kPeers}}};
   };
   std::vector<metrics::RunRecord> records;
+  run_scaling(1, total_frames);  // warm-up: page faults, thread start-up
+  const auto rate = [&](double seconds) {
+    return static_cast<double>(total_frames) / seconds;
+  };
   double frames_per_sec_1 = 0.0;
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    const double seconds = run_scaling(shards, total_frames);
-    const double frames_per_sec = static_cast<double>(total_frames) / seconds;
+    std::array<double, kReps> seconds{};
+    for (double& s : seconds) s = run_scaling(shards, total_frames);
+    std::sort(seconds.begin(), seconds.end());
+    const double median = seconds[kReps / 2];
+    const double frames_per_sec = rate(median);
     if (shards == 1) frames_per_sec_1 = frames_per_sec;
-    const double speedup =
-        frames_per_sec_1 == 0.0 ? 0.0 : frames_per_sec / frames_per_sec_1;
+    const double speedup = frames_per_sec / frames_per_sec_1;
     std::cout << "  shards=" << shards << ": "
-              << static_cast<std::uint64_t>(frames_per_sec) << " frames/s ("
-              << seconds << " s, speedup x" << speedup << ")\n";
+              << static_cast<std::uint64_t>(frames_per_sec)
+              << " frames/s median of " << kReps << " (min "
+              << static_cast<std::uint64_t>(rate(seconds.back())) << ", max "
+              << static_cast<std::uint64_t>(rate(seconds.front()))
+              << "), speedup x" << speedup << "\n";
     metrics::RunRecord row = record("shard_scaling");
     row.set("shards", std::uint64_t{shards});
     row.set("frames", total_frames);
-    row.set("seconds", seconds);
+    row.set("reps", std::uint64_t{kReps});
+    row.set("seconds", median);
     row.set("frames_per_sec", frames_per_sec);
+    row.set("frames_per_sec_min", rate(seconds.back()));
+    row.set("frames_per_sec_max", rate(seconds.front()));
     row.set("speedup_vs_1", speedup);
     records.push_back(std::move(row));
   }
@@ -268,12 +272,8 @@ int main(int argc, char** argv) {
   row.set("frames_per_recv_call", batch.frames_per_recv_call);
   records.push_back(std::move(row));
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
+  if (!bench::write_baseline(args.out_or("BENCH_endpoint.json"), records)) {
     return 1;
   }
-  metrics::write_json(out, records);
-  std::cout << "wrote " << out_path << "\n";
   return 0;
 }

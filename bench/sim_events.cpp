@@ -24,16 +24,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
+#include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "dissemination/event_engine.hpp"
 #include "dissemination/simulation.hpp"
 #include "metrics/emitter.hpp"
@@ -64,10 +62,7 @@ metrics::RunRecord run_point(std::size_t n, std::uint64_t seed) {
   const dissem::SimConfig cfg = scaling_config(n, seed);
   dissem::EventSimulation sim(session::Scheme::kLtnc, cfg,
                               dissem::EngineMode::kScale);
-  const auto start = std::chrono::steady_clock::now();
-  const dissem::SimResult result = sim.run();
-  const auto stop = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(stop - start).count();
+  const auto [result, seconds] = bench::timed([&] { return sim.run(); });
 
   metrics::RunRecord record = dissem::sim_run_record(result);
   record.set("engine", std::string("event-scale"));
@@ -133,16 +128,12 @@ std::string run_point_forked(std::size_t n, std::uint64_t seed) {
 std::string run_speedup_point(std::size_t n, std::uint64_t seed) {
   const dissem::SimConfig cfg = scaling_config(n, seed);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const dissem::SimResult lock =
-      dissem::run_simulation(session::Scheme::kLtnc, cfg);
-  const auto t1 = std::chrono::steady_clock::now();
-  const dissem::SimResult event = dissem::run_event_simulation(
-      session::Scheme::kLtnc, cfg, dissem::EngineMode::kScale);
-  const auto t2 = std::chrono::steady_clock::now();
-
-  const double lock_s = std::chrono::duration<double>(t1 - t0).count();
-  const double event_s = std::chrono::duration<double>(t2 - t1).count();
+  const auto [lock, lock_s] = bench::timed(
+      [&] { return dissem::run_simulation(session::Scheme::kLtnc, cfg); });
+  const auto [event, event_s] = bench::timed([&] {
+    return dissem::run_event_simulation(session::Scheme::kLtnc, cfg,
+                                        dissem::EngineMode::kScale);
+  });
 
   metrics::RunRecord record;
   record.set("engine", std::string("lockstep-vs-event"));
@@ -160,31 +151,12 @@ std::string run_speedup_point(std::size_t n, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool full = false;
-  std::size_t only_nodes = 0;
-  std::uint64_t seed = 1;
-  std::string out_path = "BENCH_sim.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--full") {
-      full = true;
-    } else if (arg.rfind("--nodes=", 0) == 0) {
-      only_nodes = static_cast<std::size_t>(
-          std::atoll(std::string(arg.substr(8)).c_str()));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(
-          std::atoll(std::string(arg.substr(7)).c_str()));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = std::string(arg.substr(6));
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "flags: --full --nodes=N --seed=S --out=FILE\n";
-      return 0;
-    }
-  }
+  const auto args = bench::Args::parse(argc, argv);
+  const std::uint64_t seed = args.seed;
 
   std::vector<std::size_t> sweep{1000, 10000, 100000};
-  if (full) sweep.push_back(1000000);
-  if (only_nodes != 0) sweep.assign(1, only_nodes);
+  if (args.full) sweep.push_back(1000000);
+  if (args.nodes != 0) sweep.assign(1, args.nodes);
 
   std::vector<std::string> objects;
   for (const std::size_t n : sweep) {
@@ -194,18 +166,12 @@ int main(int argc, char** argv) {
     std::cerr << "  " << json << "\n";
     objects.push_back(std::move(json));
   }
-  if (only_nodes == 0) {
+  if (args.nodes == 0) {
     std::cerr << "sim_events: lockstep-vs-event at n=1000...\n";
     objects.push_back(run_speedup_point(1000, seed));
     std::cerr << "  " << objects.back() << "\n";
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << "\n";
-    return 1;
-  }
-  metrics::write_json_objects(out, objects);
-  std::cout << "wrote " << out_path << "\n";
+  if (!bench::write_baseline(args.out_or("BENCH_sim.json"), objects)) return 1;
   return 0;
 }

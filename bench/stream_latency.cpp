@@ -13,22 +13,20 @@
 //                    --full) — the scale point
 //
 // Writes BENCH_stream.json (one flat array; bench/diff_bench.py globs
-// it). Flags: --full --seed=S --out=FILE --receivers=N
+// it). Flags (bench::Args): --full --seed=S --out=FILE, and --nodes=N for
+// the receiver count of the sim and udp sweeps.
 //
 // The bench enforces its own claims and exits nonzero when one fails:
 // no row may report a verify failure, and each seeded SimChannel sweep
 // ("sim", "sim-adaptive") must miss nothing at zero loss and never miss
 // less as loss rises.
-#include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "metrics/emitter.hpp"
 #include "stream/harness.hpp"
 
@@ -90,13 +88,11 @@ class Claims {
   std::map<std::string, double> last_miss_;
 };
 
+/// Times one run, checks it against the claims and maps it to its row.
 template <typename Fn>
-RunRecord timed(Fn&& fn, const std::string& section, double loss,
-                const StreamConfig& stream, Claims& claims) {
-  const auto start = std::chrono::steady_clock::now();
-  const StreamRunStats r = fn();
-  const auto stop = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(stop - start).count();
+RunRecord run_row(Fn&& fn, const std::string& section, double loss,
+                  const StreamConfig& stream, Claims& claims) {
+  const auto [r, seconds] = ltnc::bench::timed(fn);
   RunRecord rec =
       ltnc::stream::stream_run_record(section, loss, stream, r, seconds);
   claims.check(section, loss, r);
@@ -109,27 +105,9 @@ RunRecord timed(Fn&& fn, const std::string& section, double loss,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool full = false;
-  std::uint64_t seed = 1;
-  std::string out_path = "BENCH_stream.json";
-  std::size_t receivers_override = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--full") {
-      full = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(
-          std::atoll(std::string(arg.substr(7)).c_str()));
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = std::string(arg.substr(6));
-    } else if (arg.rfind("--receivers=", 0) == 0) {
-      receivers_override = static_cast<std::size_t>(
-          std::atoll(std::string(arg.substr(12)).c_str()));
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "flags: --full --seed=S --out=FILE --receivers=N\n";
-      return 0;
-    }
-  }
+  const auto args = ltnc::bench::Args::parse(argc, argv);
+  const bool full = args.full;
+  const std::uint64_t seed = args.seed;
 
   std::vector<RunRecord> records;
   Claims claims;
@@ -145,11 +123,11 @@ int main(int argc, char** argv) {
     cfg.stream = sim_stream_shape(sim_blocks, seed);
     cfg.channel.loss_rate = loss;
     cfg.channel.seed = seed;
-    cfg.receivers = receivers_override != 0 ? receivers_override : 4;
+    cfg.receivers = args.nodes != 0 ? args.nodes : 4;
     cfg.adaptive_budget = false;
     cfg.seed = seed;
-    records.push_back(timed([&] { return run_sim_stream(cfg); }, "sim", loss,
-                            cfg.stream, claims));
+    records.push_back(run_row([&] { return run_sim_stream(cfg); }, "sim",
+                              loss, cfg.stream, claims));
   }
   for (const double loss : losses) {
     ltnc::stream::SimStreamConfig cfg;
@@ -158,11 +136,11 @@ int main(int argc, char** argv) {
     cfg.stream.slack_boost_ticks = 16;
     cfg.channel.loss_rate = loss;
     cfg.channel.seed = seed;
-    cfg.receivers = receivers_override != 0 ? receivers_override : 4;
+    cfg.receivers = args.nodes != 0 ? args.nodes : 4;
     cfg.adaptive_budget = true;
     cfg.seed = seed;
-    records.push_back(timed([&] { return run_sim_stream(cfg); },
-                            "sim-adaptive", loss, cfg.stream, claims));
+    records.push_back(run_row([&] { return run_sim_stream(cfg); },
+                              "sim-adaptive", loss, cfg.stream, claims));
   }
 
   // --- UDP loopback sweep ---------------------------------------------------
@@ -174,11 +152,11 @@ int main(int argc, char** argv) {
     cfg.stream = sim_stream_shape(udp_blocks, seed);
     cfg.stream.ticks_per_block = 10'000;  // 100 fps
     cfg.stream.deadline_ticks = 50'000;   // 50 ms
-    cfg.receivers = receivers_override != 0 ? receivers_override : 2;
+    cfg.receivers = args.nodes != 0 ? args.nodes : 2;
     cfg.loss_rate = loss;
     cfg.seed = seed;
-    records.push_back(timed([&] { return run_udp_stream(cfg); }, "udp", loss,
-                            cfg.stream, claims));
+    records.push_back(run_row([&] { return run_udp_stream(cfg); }, "udp",
+                              loss, cfg.stream, claims));
   }
 
   // --- Event-engine scale point ---------------------------------------------
@@ -198,18 +176,14 @@ int main(int argc, char** argv) {
     cfg.receivers = event_receivers;
     cfg.loss_rate = 0.05;
     cfg.seed = seed;
-    RunRecord rec = timed([&] { return run_event_stream(cfg); }, "event",
-                          cfg.loss_rate, cfg.stream, claims);
-    records.push_back(std::move(rec));
+    records.push_back(run_row([&] { return run_event_stream(cfg); },
+                              "event", cfg.loss_rate, cfg.stream, claims));
   }
 
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "cannot open " << out_path << "\n";
+  if (!ltnc::bench::write_baseline(args.out_or("BENCH_stream.json"),
+                                   records)) {
     return 1;
   }
-  ltnc::metrics::write_json(out, records);
-  std::cout << "wrote " << out_path << "\n";
   if (!claims.ok()) {
     std::cerr << "stream_latency: acceptance claims failed\n";
     return 1;

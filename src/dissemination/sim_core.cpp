@@ -66,8 +66,6 @@ metrics::RunRecord sim_run_record(const SimResult& result) {
   r.set("control_bytes", result.traffic.control_bytes);
   r.set("wire_bytes_total", result.traffic.wire_bytes_total());
   r.set("overheard_useful", result.overheard_useful);
-  r.set("session_advertises", result.sessions.advertises_received);
-  r.set("session_aborts", result.sessions.aborts_sent);
   r.set("decode_control_ops", result.decode_ops.control_total());
   r.set("recode_control_ops", result.recode_ops.control_total());
   return r;
@@ -121,8 +119,7 @@ std::unique_ptr<Endpoint> SimCore::make_endpoint() const {
 SimCore::SimCore(session::Scheme scheme, const SimConfig& config)
     : scheme_(scheme),
       cfg_(config),
-      rng_(config.seed),
-      bus_(net::SimChannelConfig{}) {  // fault-free FIFO; faults are ours
+      rng_(config.seed) {
   LTNC_CHECK_MSG(config.num_nodes >= 2, "need at least two nodes");
   LTNC_CHECK_MSG(config.k >= 1, "k must be positive");
   LTNC_CHECK_MSG(config.num_contents >= 1, "need at least one content");
@@ -165,28 +162,22 @@ void SimCore::route_frame(Endpoint& from, NodeId expected_dst) {
   LTNC_CHECK_MSG(from.poll_transmit(dst, frame_),
                  "conversation expected an outbound frame");
   LTNC_CHECK_MSG(dst == expected_dst, "frame addressed to the wrong peer");
-  LTNC_CHECK_MSG(bus_.send(frame_.bytes()),
-                 "simulation bus refused a frame (over the MTU?)");
-  LTNC_CHECK_MSG(bus_.recv(frame_), "simulation bus lost a frame");
 }
 
 bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
                            NodeId target, ContentId content) {
   Endpoint& receiver = endpoint(target);
-  net::TrafficStats& per_content = traffic_per_content_[content];
-  ++traffic_.attempts;
-  ++per_content.attempts;
+  net::TrafficStats& traffic = traffic_per_content_[content];
+  ++traffic.attempts;
   const std::uint64_t seq = transfer_seq_++;
 
   if (cfg_.feedback == session::FeedbackMode::kNone) {
     // No handshake: one data frame, whose header span is always paid and
     // whose payload span pays only if it survives the lossy hop.
     route_frame(sender, target);
-    traffic_.header_bytes += frame_.size() - cfg_.payload_bytes;
-    per_content.header_bytes += frame_.size() - cfg_.payload_bytes;
+    traffic.header_bytes += frame_.size() - cfg_.payload_bytes;
     if (cfg_.loss_rate > 0.0 && rng_.chance(cfg_.loss_rate)) {
-      ++traffic_.lost;
-      ++per_content.lost;
+      ++traffic.lost;
       reclaim_after_transfer(sender, sender_peer, target, content);
       return false;
     }
@@ -194,8 +185,7 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
     // The advertise travels first and is always paid for; it is
     // byte-identical to the data frame minus the payload span.
     route_frame(sender, target);
-    traffic_.header_bytes += frame_.size();
-    per_content.header_bytes += frame_.size();
+    traffic.header_bytes += frame_.size();
     // The receiver's veto (or go-ahead) answers under the harness's
     // global transfer sequence, so feedback frames carry the same tokens
     // (and sizes) the pre-session simulator emitted.
@@ -204,10 +194,8 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
         receiver.handle_frame(sender_peer, frame_.bytes());
     if (verdict == Endpoint::Event::kAborted) {
       route_frame(receiver, sender_peer);
-      traffic_.control_bytes += frame_.size();
-      per_content.control_bytes += frame_.size();
-      ++traffic_.aborted;
-      ++per_content.aborted;
+      traffic.control_bytes += frame_.size();
+      ++traffic.aborted;
       const Endpoint::Event closed =
           sender.handle_frame(target, frame_.bytes());
       LTNC_CHECK_MSG(closed == Endpoint::Event::kAbortReceived,
@@ -217,7 +205,7 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
     }
     LTNC_CHECK_MSG(verdict == Endpoint::Event::kProceeding,
                    "advertise expected abort or proceed");
-    // The go-ahead crosses the bus but charges nothing: it models the
+    // The go-ahead crosses the wire but charges nothing: it models the
     // "silence means proceed" of the paper's reliable feedback channel.
     route_frame(receiver, sender_peer);
     const Endpoint::Event go = sender.handle_frame(target, frame_.bytes());
@@ -225,17 +213,14 @@ bool SimCore::run_transfer(Endpoint& sender, NodeId sender_peer,
                    "proceed did not release the payload");
     route_frame(sender, target);  // the data frame
     if (cfg_.loss_rate > 0.0 && rng_.chance(cfg_.loss_rate)) {
-      ++traffic_.lost;
-      ++per_content.lost;
+      ++traffic.lost;
       reclaim_after_transfer(sender, sender_peer, target, content);
       return false;
     }
   }
 
-  traffic_.payload_bytes += cfg_.payload_bytes;
-  per_content.payload_bytes += cfg_.payload_bytes;
-  ++traffic_.payload_transfers;
-  ++per_content.payload_transfers;
+  traffic.payload_bytes += cfg_.payload_bytes;
+  ++traffic.payload_transfers;
   ++payload_receptions_[target];
   const Endpoint::Event delivered =
       receiver.handle_frame(sender_peer, frame_.bytes());
@@ -319,7 +304,6 @@ bool SimCore::node_push(NodeId sender) {
     Endpoint& receiver = endpoint(target);
     if (receiver.announce_cc(sender, cid)) {
       route_frame(receiver, sender);
-      traffic_.feedback_bytes += frame_.size();
       traffic_per_content_[cid].feedback_bytes += frame_.size();
       const Endpoint::Event cached = ep.handle_frame(target, frame_.bytes());
       LTNC_CHECK_MSG(cached == Endpoint::Event::kCcReceived,
@@ -399,8 +383,8 @@ SimResult SimCore::finalise() {
   result.completion_round = completion_round_;
   result.convergence_trace = convergence_trace_;
   result.payload_receptions = payload_receptions_;
-  result.traffic = traffic_;
   result.per_content = traffic_per_content_;
+  for (const net::TrafficStats& t : traffic_per_content_) result.traffic += t;
   result.overheard_useful = overheard_useful_;
 
   // Flyweights contribute nothing to any sum below (a blank endpoint's

@@ -1,8 +1,8 @@
 // SimCore — the fleet machinery shared by both simulation drivers.
 //
 // The paper's §IV-A harness has two halves. The *what*: a fleet of
-// session endpoints, per-content sources, the peer sampler, the frame
-// bus, fault injection and the traffic ledger. The *when*: a driver that
+// session endpoints, per-content sources, the peer sampler, frame
+// routing, fault injection and the traffic ledger. The *when*: a driver that
 // decides which node acts next — the lockstep EpidemicSimulation
 // (every node, every round) or the discrete-event EventSimulation (only
 // nodes with scheduled work). SimCore is the *what*, decomposed into
@@ -42,7 +42,6 @@
 #include "dissemination/sources.hpp"
 #include "metrics/emitter.hpp"
 #include "net/peer_sampler.hpp"
-#include "net/sim_channel.hpp"
 #include "net/traffic.hpp"
 #include "session/endpoint.hpp"
 #include "session/protocols.hpp"
@@ -143,8 +142,8 @@ struct SimResult {
 };
 
 /// The standard per-run columns every simulation driver shares: scheme,
-/// config shape, rounds, completion, the traffic ledger, session
-/// advertises and aborts, and decode/recode control ops.
+/// config shape, rounds, completion, the traffic ledger, and
+/// decode/recode control ops.
 metrics::RunRecord sim_run_record(const SimResult& result);
 
 /// Driver hook into node-state transitions. The event engine uses it to
@@ -262,17 +261,18 @@ class SimCore {
   /// Flyweight fleet: null until first touch.
   std::vector<std::unique_ptr<session::Endpoint>> endpoints_;
   std::unique_ptr<net::PeerSampler> sampler_;
-  /// The frame bus: one fault-free SimChannel every frame of every
-  /// conversation crosses (FIFO, so the lockstep conversation pops what
-  /// it just pushed). Fault injection stays with the harness, which
-  /// owns the global RNG: the paper's loss model drops payload frames
-  /// after the (reliable) feedback exchange, not uniformly.
-  net::SimChannel bus_;
   std::vector<NodeId> schedule_;  ///< node visit order, reshuffled per round
 
-  wire::Frame frame_;      ///< the frame currently crossing the bus
+  /// The frame in flight: route_frame takes it from the sender's
+  /// poll_transmit and the caller hands it to the receiver's
+  /// handle_frame. Fault injection stays with the harness, which owns the
+  /// global RNG: the paper's loss model drops payload frames after the
+  /// (reliable) feedback exchange, not uniformly.
+  wire::Frame frame_;
   CodedPacket rx_packet_;  ///< overhear scratch (deserialized data frame)
   std::uint64_t transfer_seq_ = 0;
+  /// The traffic ledger, one entry per content; finalise() sums it into
+  /// SimResult::traffic.
   std::vector<net::TrafficStats> traffic_per_content_;
 
   std::size_t round_ = 0;
@@ -288,7 +288,6 @@ class SimCore {
   std::vector<std::size_t> completion_round_;
   std::vector<std::uint64_t> payload_receptions_;
   std::vector<double> convergence_trace_;
-  net::TrafficStats traffic_;
 };
 
 }  // namespace ltnc::dissem

@@ -41,7 +41,6 @@
 #include "net/peer_sampler.hpp"      // IWYU pragma: export
 #include "net/sim_channel.hpp"       // IWYU pragma: export
 #include "net/traffic.hpp"           // IWYU pragma: export
-#include "net/transport.hpp"         // IWYU pragma: export
 #include "net/udp_transport.hpp"     // IWYU pragma: export
 #include "rlnc/rlnc_codec.hpp"       // IWYU pragma: export
 #include "session/endpoint.hpp"      // IWYU pragma: export

@@ -14,10 +14,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "net/transport.hpp"
 #include "wire/frame.hpp"
 
 namespace ltnc::net {
@@ -31,7 +31,7 @@ struct SimChannelConfig {
   std::uint64_t seed = 1;       ///< fault-schedule seed
 };
 
-class SimChannel final : public Transport {
+class SimChannel {
  public:
   struct Stats {
     std::uint64_t sent = 0;              ///< accepted by send()
@@ -45,9 +45,12 @@ class SimChannel final : public Transport {
 
   explicit SimChannel(const SimChannelConfig& config);
 
-  bool send(std::span<const std::uint8_t> frame) override;
-  bool recv(wire::Frame& out) override;
-  std::size_t mtu() const override { return cfg_.mtu; }
+  /// Enqueues one datagram. False when the frame exceeds the MTU; a true
+  /// return does not promise delivery (loss and overflow still apply).
+  bool send(std::span<const std::uint8_t> frame);
+  /// Pops the next pending datagram into `out` (reusing its capacity).
+  /// False when nothing is pending.
+  bool recv(wire::Frame& out);
 
   std::size_t pending() const { return size_; }
   const Stats& stats() const { return stats_; }

@@ -109,7 +109,7 @@ std::unique_ptr<UdpTransport> UdpTransport::open(const UdpConfig& config,
     if (!parse_endpoint(config.peer_address, config.peer_port, peer, error)) {
       return nullptr;
     }
-    t->default_peer_ = t->intern_peer(&peer);
+    t->intern_peer(&peer);  // the configured peer is PeerIndex 0
   }
   return t;
 }
@@ -136,57 +136,6 @@ UdpTransport::PeerIndex UdpTransport::add_peer(const std::string& address,
   sockaddr_in addr{};
   if (!parse_endpoint(address, port, addr, nullptr)) return kInvalidPeer;
   return intern_peer(&addr);
-}
-
-bool UdpTransport::send(std::span<const std::uint8_t> frame) {
-  if (default_peer_ == kInvalidPeer || frame.size() > mtu_) return false;
-  ++stats_.send_calls;
-  const ssize_t n = ::sendto(
-      fd_, frame.data(), frame.size(), 0,
-      reinterpret_cast<const sockaddr*>(peer_addrs_[default_peer_].data()),
-      sizeof(sockaddr_in));
-  if (n < 0) {
-    if (is_would_block(errno)) {
-      ++stats_.send_would_block;
-    } else {
-      count_error(errno);
-    }
-    return false;
-  }
-  ++stats_.frames_sent;
-  stats_.bytes_sent += static_cast<std::uint64_t>(n);
-  return n == static_cast<ssize_t>(frame.size());
-}
-
-bool UdpTransport::recv(wire::Frame& out) {
-  out.resize(mtu_);
-  sockaddr_in from{};
-  socklen_t from_len = sizeof(from);
-  ++stats_.recv_calls;
-  const ssize_t n =
-      ::recvfrom(fd_, out.data(), out.capacity(), 0,
-                 reinterpret_cast<sockaddr*>(&from), &from_len);
-  if (n < 0) {
-    out.clear();
-    if (is_would_block(errno)) {
-      ++stats_.recv_would_block;  // the expected idle path, not an error
-    } else {
-      count_error(errno);
-    }
-    return false;
-  }
-  out.resize(static_cast<std::size_t>(n));
-  ++stats_.frames_received;
-  stats_.bytes_received += static_cast<std::uint64_t>(n);
-  std::memcpy(last_sender_, &from, sizeof(from));
-  has_last_sender_ = true;
-  return true;
-}
-
-bool UdpTransport::set_peer_to_last_sender() {
-  if (!has_last_sender_) return false;
-  default_peer_ = intern_peer(last_sender_);
-  return true;
 }
 
 std::size_t UdpTransport::send_batch_fallback(std::span<const TxItem> items) {
@@ -242,8 +191,6 @@ std::size_t UdpTransport::recv_batch_fallback(std::span<wire::Frame> frames,
     frame.resize(static_cast<std::size_t>(n));
     ++stats_.frames_received;
     stats_.bytes_received += static_cast<std::uint64_t>(n);
-    std::memcpy(last_sender_, &from, sizeof(from));
-    has_last_sender_ = true;
     peers[got] = intern_peer(&from);
     ++got;
   }
@@ -351,10 +298,6 @@ std::size_t UdpTransport::recv_batch_impl(std::span<wire::Frame> frames,
     stats_.bytes_received += msgs[i].msg_len;
     peers[i] = intern_peer(&addrs[i]);
   }
-  if (got > 0) {
-    std::memcpy(last_sender_, &addrs[got - 1], sizeof(sockaddr_in));
-    has_last_sender_ = true;
-  }
   return static_cast<std::size_t>(got);
 }
 
@@ -384,9 +327,6 @@ std::unique_ptr<UdpTransport> UdpTransport::open(const UdpConfig&,
 }
 
 UdpTransport::~UdpTransport() = default;
-bool UdpTransport::send(std::span<const std::uint8_t>) { return false; }
-bool UdpTransport::recv(wire::Frame&) { return false; }
-bool UdpTransport::set_peer_to_last_sender() { return false; }
 UdpTransport::PeerIndex UdpTransport::add_peer(const std::string&,
                                                std::uint16_t) {
   return kInvalidPeer;

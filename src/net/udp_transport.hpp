@@ -2,29 +2,27 @@
 //
 // One frame = one UDP datagram (pyrofling-style simple sockets): the
 // socket is bound, set non-blocking, and polled from the protocol loop.
-// recv() lands datagrams straight into the caller's arena-backed
-// wire::Frame (no intermediate buffer) and remembers the source address,
-// so a receiver can lock onto whoever is talking to it and ship feedback
-// frames back — the abort/ack channel of §III-C over a real network.
+// Datagrams move only in batches: recv_batch lands them straight into the
+// caller's arena-backed wire::Frames (no intermediate buffer) and reports
+// each one's source as a dense PeerIndex, and send_batch takes (peer,
+// bytes) pairs — so a receiver answers on the index it was handed, which
+// is the abort/ack channel of §III-C over a real network, and one socket
+// fans out to a whole swarm.
 //
-// **Batched I/O.** The single-datagram path costs one syscall per frame —
-// the dominant per-frame cost once the coding itself is SIMD-cheap. The
-// batch surface (recv_batch / send_batch) moves up to kMaxBatch frames
-// per recvmmsg/sendmmsg syscall on Linux, with a runtime fallback to a
+// **Batched I/O.** A batch moves up to kMaxBatch frames per
+// recvmmsg/sendmmsg syscall on Linux, with a runtime fallback to a
 // recvfrom/sendto loop on kernels or platforms without the mmsg calls —
 // same semantics, one syscall per frame, so callers never branch on
-// availability. Batch calls speak the transport's peer registry: every
-// distinct source address is interned to a dense PeerIndex (auto-grown on
-// first sight), which is what the sharded endpoint hashes on; send_batch
-// takes (peer, bytes) pairs so one socket fans out to a whole swarm.
+// availability. Every distinct source address is interned in the
+// transport's peer registry (auto-grown on first sight), which is what
+// the sharded endpoint hashes on.
 //
 // **Error discipline.** EAGAIN/EWOULDBLOCK is the *expected* idle result
 // of a non-blocking socket and is counted separately (would_block) from
 // transient per-peer failures (ECONNREFUSED and friends — a receiver went
 // away; counted, skipped, never fatal) and genuinely fatal socket errors
-// (counted with the errno preserved in stats().last_errno). send()/recv()
-// report false for all three — datagram semantics — but the tallies let a
-// caller distinguish "link idle" from "link broken".
+// (counted with the errno preserved in stats().last_errno). The tallies
+// let a caller distinguish "link idle" from "link broken".
 //
 // Compiled to a stub returning "unsupported" on non-POSIX platforms so
 // the library stays portable; everything else in src/net is pure C++.
@@ -39,16 +37,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/transport.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
+#include "wire/frame.hpp"
 
 namespace ltnc::net {
 
 struct UdpConfig {
   std::string bind_address = "0.0.0.0";
   std::uint16_t bind_port = 0;  ///< 0 = ephemeral (see local_port())
-  std::string peer_address;     ///< empty = receive-only until a peer is set
+  std::string peer_address;     ///< non-empty = interned as PeerIndex 0
   std::uint16_t peer_port = 0;
   std::size_t mtu = 65507;  ///< max UDP payload over IPv4
 };
@@ -84,7 +82,7 @@ struct UdpStats {
   }
 };
 
-class UdpTransport final : public Transport {
+class UdpTransport {
  public:
   /// Dense handle for an interned remote address (the sharded endpoint's
   /// session::PeerId). Index 0 is the configured peer when UdpConfig
@@ -100,21 +98,9 @@ class UdpTransport final : public Transport {
   static std::unique_ptr<UdpTransport> open(const UdpConfig& config,
                                             std::string* error);
 
-  ~UdpTransport() override;
+  ~UdpTransport();
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
-
-  /// Sends one datagram to the default peer. False when no peer is set,
-  /// the frame exceeds the MTU, or the kernel refuses (see stats() for
-  /// which way it refused).
-  bool send(std::span<const std::uint8_t> frame) override;
-
-  /// Non-blocking receive; false when no datagram is pending. Oversized
-  /// datagrams are truncated by the kernel and will fail frame decoding —
-  /// the codec treats them as malformed, which is the right failure mode.
-  bool recv(wire::Frame& out) override;
-
-  std::size_t mtu() const override { return mtu_; }
 
   // --- batched I/O ----------------------------------------------------------
 
@@ -146,7 +132,8 @@ class UdpTransport final : public Transport {
   /// in one recvmmsg syscall (fallback: a recvfrom loop). frames[i] is
   /// resized to datagram i; peers[i] is the interned source address —
   /// first-sight senders are registered automatically. Returns the count
-  /// received (0 on idle).
+  /// received (0 on idle). A datagram over the MTU is truncated by the
+  /// kernel and fails frame decoding, which treats it as malformed.
   std::size_t recv_batch(std::span<wire::Frame> frames,
                          std::span<PeerIndex> peers) {
     const std::size_t n = recv_batch_impl(frames, peers);
@@ -183,12 +170,6 @@ class UdpTransport final : public Transport {
 
   /// Port actually bound (resolves an ephemeral bind_port = 0).
   std::uint16_t local_port() const { return local_port_; }
-
-  bool has_peer() const { return default_peer_ != kInvalidPeer; }
-
-  /// Redirects send() at the source of the most recently received
-  /// datagram — how a receiver acquires its feedback channel.
-  bool set_peer_to_last_sender();
 
   const UdpStats& stats() const { return stats_; }
 
@@ -233,10 +214,7 @@ class UdpTransport final : public Transport {
   std::size_t mtu_ = 0;
   std::uint16_t local_port_ = 0;
   bool use_mmsg_ = false;
-  PeerIndex default_peer_ = kInvalidPeer;
-  bool has_last_sender_ = false;
-  // sockaddr_in storage without leaking <netinet/in.h> into the header.
-  alignas(8) unsigned char last_sender_[16] = {};
+  // sockaddr_in images without leaking <netinet/in.h> into the header.
   std::vector<std::array<unsigned char, 16>> peer_addrs_;
   std::unordered_map<std::uint64_t, PeerIndex> peer_index_;  ///< (ip,port) →
   UdpStats stats_;

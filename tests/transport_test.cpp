@@ -1,7 +1,6 @@
 // Transport layer: SimChannel determinism and fault injection, UDP
-// loopback round-trips, and wire frames surviving both backends intact.
-#include "net/transport.hpp"
-
+// loopback round-trips through the batch API, and wire frames surviving
+// both backends intact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -157,10 +156,23 @@ bool open_loopback_pair(std::unique_ptr<UdpTransport>& receiver,
   return sender != nullptr;
 }
 
-/// Polls until a datagram arrives (loopback is fast but asynchronous).
-bool recv_with_retry(UdpTransport& transport, wire::Frame& out) {
+/// Sends one datagram to `peer` through the batch API.
+bool send_one(UdpTransport& transport, UdpTransport::PeerIndex peer,
+              const wire::Frame& frame) {
+  const UdpTransport::TxItem item{peer, frame.bytes()};
+  return transport.send_batch({&item, 1}) == 1;
+}
+
+/// Polls recv_batch until one datagram arrives (loopback is fast but
+/// asynchronous); `from` receives the sender's interned index.
+bool recv_with_retry(UdpTransport& transport, wire::Frame& out,
+                     UdpTransport::PeerIndex* from = nullptr) {
+  UdpTransport::PeerIndex peer = UdpTransport::kInvalidPeer;
   for (int spin = 0; spin < 100000; ++spin) {
-    if (transport.recv(out)) return true;
+    if (transport.recv_batch({&out, 1}, {&peer, 1}) == 1) {
+      if (from != nullptr) *from = peer;
+      return true;
+    }
   }
   return false;
 }
@@ -177,7 +189,7 @@ TEST(UdpTransport, LoopbackRoundTripsFrames) {
                              Payload::deterministic(128, 3, 0));
   wire::Frame frame;
   wire::serialize(ContentId{0}, original, frame);
-  ASSERT_TRUE(sender->send(frame.bytes()));
+  ASSERT_TRUE(send_one(*sender, 0, frame));  // the configured peer is 0
 
   wire::Frame rx;
   ASSERT_TRUE(recv_with_retry(*receiver, rx));
@@ -199,16 +211,18 @@ TEST(UdpTransport, FeedbackFlowsBackToLastSender) {
 
   wire::Frame frame;
   wire::serialize_feedback(ContentId{0}, wire::MessageType::kAck, 42, frame);
-  ASSERT_TRUE(sender->send(frame.bytes()));
+  ASSERT_TRUE(send_one(*sender, 0, frame));
   wire::Frame rx;
-  ASSERT_TRUE(recv_with_retry(*receiver, rx));
+  UdpTransport::PeerIndex from = UdpTransport::kInvalidPeer;
+  ASSERT_TRUE(recv_with_retry(*receiver, rx, &from));
+  ASSERT_EQ(from, 0u) << "first sender interns as index 0";
 
-  // The receiver locks onto whoever spoke and replies with an abort.
-  ASSERT_TRUE(receiver->set_peer_to_last_sender());
+  // The receiver answers on the index recv_batch reported, with an abort.
   wire::serialize_feedback(ContentId{0}, wire::MessageType::kAbort, 43, frame);
-  ASSERT_TRUE(receiver->send(frame.bytes()));
+  ASSERT_TRUE(send_one(*receiver, from, frame));
 
-  ASSERT_TRUE(recv_with_retry(*sender, rx));
+  ASSERT_TRUE(recv_with_retry(*sender, rx, &from));
+  EXPECT_EQ(from, 0u) << "the reply comes from the configured peer";
   ContentId content = 0;
   wire::MessageType type{};
   std::uint64_t token = 0;
@@ -226,9 +240,14 @@ TEST(UdpTransport, SendWithoutPeerFails) {
   if (transport == nullptr) {
     GTEST_SKIP() << "no usable UDP sockets in this environment";
   }
-  EXPECT_FALSE(transport->has_peer());
+  // No peer configured: index 0 was never interned, so the send is a
+  // caller error, counted fatal, and nothing reaches the kernel.
+  EXPECT_EQ(transport->peer_count(), 0u);
   const wire::Frame frame(8);
-  EXPECT_FALSE(transport->send(frame.bytes()));
+  EXPECT_FALSE(send_one(*transport, 0, frame));
+  EXPECT_EQ(transport->stats().fatal_errors, 1u);
+  EXPECT_EQ(transport->stats().send_calls, 0u);
+  EXPECT_EQ(transport->stats().frames_sent, 0u);
 }
 
 TEST(UdpTransport, RejectsBadAddress) {
